@@ -19,7 +19,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/faultsim"
 	"repro/internal/fixed"
-	"repro/internal/kernel"
 	"repro/internal/models"
 	"repro/internal/nn"
 	"repro/internal/rng"
@@ -124,14 +123,7 @@ func BenchmarkForwardCtxReuse(b *testing.B) {
 // ExecContext whose scratch arenas are already warm, fault-free rounds.
 // allocs/op must stay 0 (see TestForwardCtxAllocFree); ns/op is the paired
 // before/after metric the CI benchmark-delta step compares across commits.
-// backend selects the compute backend ("" = default scalar); results are
-// bit-identical either way, so the scalar/blocked pairs below measure the
-// pure wall-clock effect of the blocked kernels.
-func benchForwardCtx(b *testing.B, kind nn.EngineKind, backend string) {
-	bk, err := kernel.Get(backend)
-	if err != nil {
-		b.Fatal(err)
-	}
+func benchForwardCtx(b *testing.B, kind nn.EngineKind) {
 	arch := models.VGG19(models.Tiny)
 	net := models.Build(arch, nn.Config{
 		Kind: kind, Tile: winograd.F2, ActFmt: fixed.Int16, WFmt: fixed.Int16, Seed: 1,
@@ -140,7 +132,6 @@ func benchForwardCtx(b *testing.B, kind nn.EngineKind, backend string) {
 		tensor.New(tensor.Shape{N: 1, C: 3, H: arch.In.H, W: arch.In.W}).Random(rng.New(2), 0.5),
 		fixed.Int16)
 	ctx := net.NewExecContext()
-	ctx.UseBackend(bk)
 	net.ForwardCtx(ctx, in, nil) // warm the arena
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -150,18 +141,10 @@ func benchForwardCtx(b *testing.B, kind nn.EngineKind, backend string) {
 }
 
 // BenchmarkForwardCtxDirect is the steady-state direct-engine forward pass.
-func BenchmarkForwardCtxDirect(b *testing.B) { benchForwardCtx(b, nn.Direct, "") }
+func BenchmarkForwardCtxDirect(b *testing.B) { benchForwardCtx(b, nn.Direct) }
 
 // BenchmarkForwardCtxWinograd is the steady-state winograd forward pass.
-func BenchmarkForwardCtxWinograd(b *testing.B) { benchForwardCtx(b, nn.Winograd, "") }
-
-// BenchmarkForwardCtxBlocked is BenchmarkForwardCtxWinograd on the blocked
-// backend (paired-output-channel Hadamard accumulation).
-func BenchmarkForwardCtxBlocked(b *testing.B) { benchForwardCtx(b, nn.Winograd, "blocked") }
-
-// BenchmarkForwardCtxBlockedDirect is BenchmarkForwardCtxDirect on the
-// blocked backend (4-wide output-column MAC blocking).
-func BenchmarkForwardCtxBlockedDirect(b *testing.B) { benchForwardCtx(b, nn.Direct, "blocked") }
+func BenchmarkForwardCtxWinograd(b *testing.B) { benchForwardCtx(b, nn.Winograd) }
 
 // noEventInjector is a non-nil injector whose rounds carry no faults — the
 // shape of the overwhelming majority of rounds at realistic BERs.
@@ -223,17 +206,15 @@ func BenchmarkSweepWorkers4(b *testing.B) { benchSweepWorkers(b, 4) }
 // BenchmarkSweepWorkersMax is the same sweep at the GOMAXPROCS default.
 func BenchmarkSweepWorkersMax(b *testing.B) { benchSweepWorkers(b, 0) }
 
-// Delta-execution benchmarks: a serial sweep at the golden-fixture BERs
+// BenchmarkSweepDelta is a serial sweep at the golden-fixture BERs
 // {3e-11, 3e-10, 1e-9} — the regime the accuracy fixtures pin, where most
-// Monte-Carlo rounds carry zero or very few fault events — with the
-// fault-cone delta path on (the default) versus forced-off full execution.
-// The Delta/DeltaOff ratio is the headline win of delta execution; accuracies
-// are bit-identical between the two (see TestDeltaMatchesFullExecution).
-// allocs/op of the delta variant pins the steady state: the golden plane and
-// scratch arenas are recycled across rounds, so allocations stay a small
-// per-unit constant (injector + reduction bookkeeping) instead of scaling
-// with the node count or the round's recompute work.
-func benchSweepDelta(b *testing.B, enabled bool) {
+// Monte-Carlo rounds carry zero or very few fault events, so the fault-cone
+// delta path does little beyond scanning the dirty set. allocs/op pins the
+// steady state: the golden plane and scratch arenas are recycled across
+// rounds, so allocations stay a small per-unit constant (injector +
+// reduction bookkeeping) instead of scaling with the node count or the
+// round's recompute work.
+func BenchmarkSweepDelta(b *testing.B) {
 	arch := models.VGG19(models.Tiny)
 	net := models.Build(arch, nn.Config{
 		Kind: nn.Winograd, Tile: winograd.F2, ActFmt: fixed.Int16, WFmt: fixed.Int16, Seed: 1,
@@ -241,34 +222,7 @@ func benchSweepDelta(b *testing.B, enabled bool) {
 	set := dataset.ForModel(arch.Dataset, 8, arch.In.H, 99, fixed.Int16)
 	runner := faultsim.New(net, set.Batch(0, 8))
 	bers := []float64{3e-11, 3e-10, 1e-9}
-	opts := faultsim.Options{Seed: 1, Workers: 1, DeltaExec: &enabled}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		runner.Sweep(context.Background(), bers, opts, 2)
-	}
-}
-
-// BenchmarkSweepDelta is the fixture-BER sweep with delta execution.
-func BenchmarkSweepDelta(b *testing.B) { benchSweepDelta(b, true) }
-
-// BenchmarkSweepDeltaOff is the same sweep forced through full execution.
-func BenchmarkSweepDeltaOff(b *testing.B) { benchSweepDelta(b, false) }
-
-// BenchmarkSweepBlocked is the fixture-BER sweep (delta on, serial) with the
-// blocked compute backend — the whole-campaign counterpart of the ForwardCtx
-// backend pairs. Accuracies are bit-identical to BenchmarkSweepDelta's; only
-// wall-clock may differ, and allocs/op must stay the same small per-unit
-// constant (the backend stamp allocates nothing).
-func BenchmarkSweepBlocked(b *testing.B) {
-	arch := models.VGG19(models.Tiny)
-	net := models.Build(arch, nn.Config{
-		Kind: nn.Winograd, Tile: winograd.F2, ActFmt: fixed.Int16, WFmt: fixed.Int16, Seed: 1,
-	})
-	set := dataset.ForModel(arch.Dataset, 8, arch.In.H, 99, fixed.Int16)
-	runner := faultsim.New(net, set.Batch(0, 8))
-	bers := []float64{3e-11, 3e-10, 1e-9}
-	opts := faultsim.Options{Seed: 1, Workers: 1, Backend: "blocked"}
+	opts := faultsim.Options{Seed: 1, Workers: 1}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

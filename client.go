@@ -10,8 +10,6 @@ import (
 	"net/url"
 	"strings"
 	"time"
-
-	"repro/internal/kernel"
 )
 
 // This file is the thin client side of the campaign service (cmd/wfserve,
@@ -24,11 +22,10 @@ import (
 // Config), so a request that spells a default explicitly is the same
 // campaign — and hits the same cache entry — as one that omits it.
 //
-// Everything except Workers, DeltaExec, Backend and Priority contributes to
-// the result; those four are scheduling/performance hints (results are
-// bit-identical for any worker count, with delta execution on or off, and
-// under every compute backend) and are therefore excluded from the service's
-// cache key.
+// Everything except Workers, Priority and the deprecated DeltaExec and
+// Backend contributes to the result; Workers and Priority are scheduling
+// hints (results are bit-identical for any worker count) and are therefore
+// excluded from the service's cache key.
 type CampaignRequest struct {
 	// Model is one of "vgg19", "resnet50", "densenet169", "googlenet".
 	Model string `json:"model,omitempty"`
@@ -66,17 +63,14 @@ type CampaignRequest struct {
 	// Workers caps the campaign's scheduler parallelism on the server
 	// (bounded by the server's own per-job budget; 0 = server default).
 	Workers int `json:"workers,omitempty"`
-	// DeltaExec toggles the fault-cone delta-execution fast path on
-	// whichever process runs the campaign (absent = enabled). Results are
-	// bit-identical with it on or off, so like Workers it is a scheduling
-	// hint excluded from the service's cache key — a request spelling
-	// "deltaExec": false addresses the same cache entry as one omitting it.
+	// DeltaExec once toggled delta execution, which is now always on.
+	//
+	// Deprecated: accepted and ignored, so requests from older clients keep
+	// decoding (the service rejects unknown fields) and keep their cache key.
 	DeltaExec *bool `json:"deltaExec,omitempty"`
-	// Backend names the compute backend that runs the fault-free hot paths
-	// on the serving process: "scalar" or "blocked" ("" = process default).
-	// Backends are bit-identical by contract, so like Workers and DeltaExec
-	// it is excluded from the cache key; unknown names are rejected at
-	// submission time.
+	// Backend once named a compute kernel; there is now one.
+	//
+	// Deprecated: accepted and ignored, like DeltaExec.
 	Backend string `json:"backend,omitempty"`
 	// Priority orders this campaign within the submitting tenant's queue
 	// (0 = lowest and default, 9 = highest; out-of-range values clamp).
@@ -100,8 +94,6 @@ func (r CampaignRequest) SystemConfig() (Config, error) {
 		TileF4:    r.TileF4,
 		Workers:   r.Workers,
 		Scenario:  r.Scenario,
-		DeltaExec: r.DeltaExec,
-		Backend:   r.Backend,
 	}
 	switch r.Engine {
 	case "", "direct":
@@ -125,11 +117,6 @@ func (r CampaignRequest) SystemConfig() (Config, error) {
 		cfg.Semantics = NeuronFlip
 	default:
 		return cfg, fmt.Errorf("winofault: unknown semantics %q (want result, operand or neuron)", r.Semantics)
-	}
-	// Reject unknown backend names here so the service 400s them at submit
-	// time instead of keying a job that can only fail on the worker.
-	if _, err := kernel.Get(r.Backend); err != nil {
-		return cfg, fmt.Errorf("winofault: %w", err)
 	}
 	return cfg, nil
 }

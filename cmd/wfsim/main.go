@@ -32,8 +32,6 @@ func main() {
 	rounds := flag.Int("rounds", 2, "Monte-Carlo rounds")
 	seed := flag.Uint64("seed", 1, "root seed")
 	workers := flag.Int("workers", 0, "campaign worker count (0 = GOMAXPROCS; results are identical for any value)")
-	delta := flag.Bool("delta", true, "fault-cone delta execution: recompute only dirty nodes per round (results are identical on or off)")
-	backend := flag.String("backend", "", "compute backend: scalar|blocked (\"\" = process default; results are identical for every backend)")
 	layers := flag.Bool("layers", false, "also print per-layer sensitivity at the middle BER")
 	scenario := flag.String("scenario", "", "hardware-located faults: stuckpe|burst|voltregion (default: statistical model)")
 	pe := flag.String("pe", "0,0", "stuckpe: \"row,col\" of the stuck PE (-1 = sampled from the seed)")
@@ -51,8 +49,6 @@ func main() {
 		Rounds:    *rounds,
 		Seed:      *seed,
 		Workers:   *workers,
-		DeltaExec: delta,
-		Backend:   *backend,
 	}
 	switch *engine {
 	case "direct":

@@ -6,9 +6,6 @@ import (
 	"testing"
 )
 
-func deltaOff() *bool { off := false; return &off }
-func deltaOn() *bool  { on := true; return &on }
-
 // TestDeltaMatchesFullExecution is the facade-level acceptance fixture for
 // delta execution: across the whole model zoo, both engines and the golden-
 // fixture BERs, a system running the fault-cone delta path returns sweep
@@ -25,19 +22,8 @@ func TestDeltaMatchesFullExecution(t *testing.T) {
 					Model: model, Engine: engine, WidthMult: 0.125, InputSize: 16,
 					Samples: 8, Rounds: 2, Seed: 3, Workers: workers,
 				}
-				cfg.DeltaExec = deltaOff()
-				full, err := New(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := full.Sweep(bers)
-
-				cfg.DeltaExec = nil // the default: delta on
-				delta, err := New(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got := delta.Sweep(bers)
+				want := oracleSystem(t, cfg, false, true).Sweep(bers)
+				got := oracleSystem(t, cfg, false, false).Sweep(bers)
 				for i := range want {
 					if got[i] != want[i] {
 						t.Errorf("point %d: delta %+v != full %+v (bit-identity broken)", i, got[i], want[i])
@@ -58,7 +44,6 @@ func TestDeltaWorkerCountInvariant(t *testing.T) {
 		cfg := testConfig(Winograd)
 		cfg.Rounds = 2
 		cfg.Workers = workers
-		cfg.DeltaExec = deltaOn()
 		sys, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -77,24 +62,18 @@ func TestDeltaWorkerCountInvariant(t *testing.T) {
 }
 
 // TestDeltaShardedSweepBitIdentical: unit-range shards computed by delta-
-// enabled systems must merge to the bytes a full-execution system produces
-// locally, so delta and non-delta workers can serve the same distributed
-// campaign.
+// executing systems must merge to the bytes a full-execution system produces
+// locally.
 func TestDeltaShardedSweepBitIdentical(t *testing.T) {
 	bers := []float64{1e-9, 1e-8}
 	cfg := testConfig(Winograd)
 	cfg.Rounds = 2
-	cfg.DeltaExec = deltaOff()
-	full, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	full := oracleSystem(t, cfg, false, true)
 	want, err := full.SweepCtx(context.Background(), bers)
 	if err != nil {
 		t.Fatal(err)
 	}
 	total := full.SweepUnits(bers)
-	cfg.DeltaExec = nil // shard workers run the delta default
 	var counts []int
 	for _, r := range [][2]int{{0, total / 3}, {total / 3, total / 2}, {total / 2, total}} {
 		remote, err := New(cfg)
@@ -120,8 +99,8 @@ func TestDeltaShardedSweepBitIdentical(t *testing.T) {
 
 // TestDeltaMatchesFullScenario extends bit-identity to hardware-located
 // campaigns: the stuck-PE and voltage-region event generators drive the same
-// dirty-set machinery as the statistical sampler, so delta on/off must agree
-// on every point.
+// dirty-set machinery as the statistical sampler, so delta and full
+// execution must agree on every point.
 func TestDeltaMatchesFullScenario(t *testing.T) {
 	bers := []float64{1e-10, 1e-9}
 	for _, sc := range []Scenario{
@@ -130,21 +109,11 @@ func TestDeltaMatchesFullScenario(t *testing.T) {
 	} {
 		cfg := scenarioConfig(Winograd, &sc)
 		cfg.Rounds = 2
-		cfg.DeltaExec = deltaOff()
-		full, err := New(cfg)
+		want, err := oracleSystem(t, cfg, false, true).SweepCtx(context.Background(), bers)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := full.SweepCtx(context.Background(), bers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.DeltaExec = nil
-		delta, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := delta.SweepCtx(context.Background(), bers)
+		got, err := oracleSystem(t, cfg, false, false).SweepCtx(context.Background(), bers)
 		if err != nil {
 			t.Fatal(err)
 		}

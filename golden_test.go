@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/fixed"
-	"repro/internal/kernel"
 	"repro/internal/models"
 	"repro/internal/nn"
 	"repro/internal/rng"
@@ -18,9 +17,10 @@ import (
 // refactor (ExecContext scratch arenas, blocked winograd kernels, sorted
 // event cursors). The engines' determinism contract makes these bit-exact:
 // any arithmetic reordering, stale-scratch leak or event-routing change shows
-// up here as a hard failure, for every Workers value — and, since the kernel
-// seam, for every compute backend and with delta execution on or off: all
-// four (backend, delta) combinations must land on the same fixture values.
+// up here as a hard failure, for every Workers value. Production (the
+// blocked kernel with delta execution) and the two test oracles (the scalar
+// reference kernel, and full execution of every round) must all land on the
+// same fixture values.
 func TestGoldenAccuracyFixture(t *testing.T) {
 	bers := []float64{3e-11, 3e-10, 1e-9}
 	fixture := map[string]map[Engine][]float64{
@@ -33,16 +33,11 @@ func TestGoldenAccuracyFixture(t *testing.T) {
 		for engine, want := range byEngine {
 			for _, backend := range []string{"scalar", "blocked"} {
 				for _, delta := range []bool{true, false} {
-					d := delta
 					t.Run(fmt.Sprintf("%s/%v/%s/delta=%t", model, engine, backend, delta), func(t *testing.T) {
-						sys, err := New(Config{
+						sys := oracleSystem(t, Config{
 							Model: model, Engine: engine, WidthMult: 0.125, InputSize: 16,
 							Samples: 8, Rounds: 2, Seed: 3, Workers: 4,
-							Backend: backend, DeltaExec: &d,
-						})
-						if err != nil {
-							t.Fatal(err)
-						}
+						}, backend == "scalar", !delta)
 						for i, ber := range bers {
 							if got := sys.Accuracy(ber); got != want[i] {
 								t.Errorf("accuracy(%g) = %v, want %v (bit-exactness broken)", ber, got, want[i])
@@ -85,61 +80,47 @@ func TestNewUndersizedInput(t *testing.T) {
 
 // TestForwardCtxAllocFree enforces the arena contract: after the first pass
 // has populated an ExecContext's scratch buffers, a steady-state fault-free
-// ForwardCtx performs zero heap allocations for either engine, under both
-// compute backends. The pre-refactor baseline was 134 (direct) / 254
+// ForwardCtx performs zero heap allocations for either engine on the
+// production kernel. The pre-refactor baseline was 134 (direct) / 254
 // (winograd) allocations per pass, so any ceiling breach is a
 // >90%-regression signal by construction.
 func TestForwardCtxAllocFree(t *testing.T) {
 	for _, kind := range []nn.EngineKind{nn.Direct, nn.Winograd} {
-		for _, backend := range []string{"scalar", "blocked"} {
-			bk, err := kernel.Get(backend)
-			if err != nil {
-				t.Fatal(err)
-			}
-			arch := models.VGG19(models.Tiny)
-			net := models.Build(arch, nn.Config{
-				Kind: kind, Tile: winograd.F2, ActFmt: fixed.Int16, WFmt: fixed.Int16, Seed: 1,
-			})
-			in := tensor.Quantize(
-				tensor.New(tensor.Shape{N: 2, C: 3, H: arch.In.H, W: arch.In.W}).Random(rng.New(2), 0.5),
-				fixed.Int16)
-			ctx := net.NewExecContext()
-			ctx.UseBackend(bk)
-			net.ForwardCtx(ctx, in, nil) // warm the arena
-			allocs := testing.AllocsPerRun(10, func() { net.ForwardCtx(ctx, in, nil) })
-			if allocs != 0 {
-				t.Errorf("%v/%s: steady-state ForwardCtx allocates %v times per pass, want 0", kind, backend, allocs)
-			}
+		arch := models.VGG19(models.Tiny)
+		net := models.Build(arch, nn.Config{
+			Kind: kind, Tile: winograd.F2, ActFmt: fixed.Int16, WFmt: fixed.Int16, Seed: 1,
+		})
+		in := tensor.Quantize(
+			tensor.New(tensor.Shape{N: 2, C: 3, H: arch.In.H, W: arch.In.W}).Random(rng.New(2), 0.5),
+			fixed.Int16)
+		ctx := net.NewExecContext()
+		net.ForwardCtx(ctx, in, nil) // warm the arena
+		allocs := testing.AllocsPerRun(10, func() { net.ForwardCtx(ctx, in, nil) })
+		if allocs != 0 {
+			t.Errorf("%v: steady-state ForwardCtx allocates %v times per pass, want 0", kind, allocs)
 		}
 	}
 }
 
 // TestForwardCtxAllocFreeAcrossModels extends the zero-allocation guard to
 // every zoo architecture (concat, residual-add, avg-pool and DWM units all
-// draw from the arena too), under both compute backends.
+// draw from the arena too).
 func TestForwardCtxAllocFreeAcrossModels(t *testing.T) {
 	for _, name := range []string{"resnet50", "densenet169", "googlenet"} {
-		for _, backend := range []string{"scalar", "blocked"} {
-			bk, err := kernel.Get(backend)
-			if err != nil {
-				t.Fatal(err)
-			}
-			arch, err := models.ByName(name, models.Tiny)
-			if err != nil {
-				t.Fatal(err)
-			}
-			net := models.Build(arch, nn.Config{
-				Kind: nn.Winograd, Tile: winograd.F2, ActFmt: fixed.Int16, WFmt: fixed.Int16, Seed: 1,
-			})
-			in := tensor.Quantize(
-				tensor.New(tensor.Shape{N: 1, C: 3, H: arch.In.H, W: arch.In.W}).Random(rng.New(2), 0.5),
-				fixed.Int16)
-			ctx := net.NewExecContext()
-			ctx.UseBackend(bk)
-			net.ForwardCtx(ctx, in, nil)
-			if allocs := testing.AllocsPerRun(5, func() { net.ForwardCtx(ctx, in, nil) }); allocs != 0 {
-				t.Errorf("%s/%s: steady-state ForwardCtx allocates %v times per pass, want 0", name, backend, allocs)
-			}
+		arch, err := models.ByName(name, models.Tiny)
+		if err != nil {
+			t.Fatal(err)
+		}
+		net := models.Build(arch, nn.Config{
+			Kind: nn.Winograd, Tile: winograd.F2, ActFmt: fixed.Int16, WFmt: fixed.Int16, Seed: 1,
+		})
+		in := tensor.Quantize(
+			tensor.New(tensor.Shape{N: 1, C: 3, H: arch.In.H, W: arch.In.W}).Random(rng.New(2), 0.5),
+			fixed.Int16)
+		ctx := net.NewExecContext()
+		net.ForwardCtx(ctx, in, nil)
+		if allocs := testing.AllocsPerRun(5, func() { net.ForwardCtx(ctx, in, nil) }); allocs != 0 {
+			t.Errorf("%s: steady-state ForwardCtx allocates %v times per pass, want 0", name, allocs)
 		}
 	}
 }

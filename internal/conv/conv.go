@@ -107,10 +107,11 @@ func (p *Params) accumBias(inFmt fixed.Format) []int64 {
 // Scratch belongs to one (Params, goroutine) pair and makes steady-state
 // passes allocation-free. See DESIGN.md, memory model.
 //
-// Backend selects the compute backend for the fault-free fast path (see
-// internal/kernel); nil means the process default. Every backend is
-// bit-identical, so the choice can never change a result — the fault-replay
-// path ignores it entirely and always runs the reference scalar code.
+// Backend substitutes the compute kernel of the fault-free fast path (see
+// internal/kernel); nil means the production kernel. Tests set it to
+// kernel.Reference; every backend is bit-identical, so the choice can never
+// change a result — the fault-replay path ignores it entirely and always
+// runs the reference scalar code.
 type Scratch struct {
 	Backend kernel.Backend
 

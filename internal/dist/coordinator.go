@@ -136,6 +136,7 @@ type shard struct {
 // campaignRun collects one phase's shard results.
 type campaignRun struct {
 	counts    []int
+	samples   int // evaluation images: every unit count lies in [0, samples]
 	remaining int // shards not yet merged
 	doneUnits int
 	total     int
@@ -148,6 +149,22 @@ type campaignRun struct {
 	// the phase span and worker exec times feed the ShardExec histogram.
 	o    obs.Obs
 	span *obs.Span
+}
+
+// badCounts reports why a shard's counts cannot be merged, or "" when they
+// can. Each count is one round's golden agreement over the evaluation set,
+// so it lies in [0, samples]; anything else comes from a buggy worker, and
+// merging it would journal and cache a wrong result for good.
+func (run *campaignRun) badCounts(task ShardTask, counts []int) string {
+	if len(counts) != task.Hi-task.Lo {
+		return fmt.Sprintf("shard %s returned %d counts for %d units", task.ID, len(counts), task.Hi-task.Lo)
+	}
+	for i, n := range counts {
+		if n < 0 || n > run.samples {
+			return fmt.Sprintf("shard %s unit %d: count %d outside [0, %d]", task.ID, task.Lo+i, n, run.samples)
+		}
+	}
+	return ""
 }
 
 // NewCoordinator builds a coordinator and starts its lease janitor; stop it
@@ -452,8 +469,9 @@ func (c *Coordinator) Run(ctx context.Context, key string, req winofault.Campaig
 		return nil, err
 	}
 
+	samples := len(sys.GoldenPredictions())
 	ph := o.Trace.Start("phase", obs.A("phase", "sweep"), obs.A("path", "dist"))
-	counts, err := c.runPhase(ctx, o, ph, key, req, PhaseSweep, sys.SweepUnits(req.BERs), func(done, total int) { progress(0, done, total) })
+	counts, err := c.runPhase(ctx, o, ph, key, req, PhaseSweep, sys.SweepUnits(req.BERs), samples, func(done, total int) { progress(0, done, total) })
 	if err != nil {
 		ph.SetAttr("err", err.Error())
 		ph.End()
@@ -470,7 +488,7 @@ func (c *Coordinator) Run(ctx context.Context, key string, req winofault.Campaig
 	if req.Layers {
 		mid := req.BERs[len(req.BERs)/2]
 		ph := o.Trace.Start("phase", obs.A("phase", "layers"), obs.A("path", "dist"))
-		counts, err := c.runPhase(ctx, o, ph, key, req, PhaseLayers, sys.LayerUnits(mid), func(done, total int) { progress(1, done, total) })
+		counts, err := c.runPhase(ctx, o, ph, key, req, PhaseLayers, sys.LayerUnits(mid), samples, func(done, total int) { progress(1, done, total) })
 		if err != nil {
 			ph.SetAttr("err", err.Error())
 			ph.End()
@@ -521,10 +539,11 @@ func (c *Coordinator) awaitWorkers(ctx context.Context, key string) bool {
 // runPhase shards one phase's unit index space [0, total) into contiguous
 // ranges, dispatches them, and blocks until every shard's counts are merged
 // (in index order, by construction of the counts slice) or the phase fails.
-func (c *Coordinator) runPhase(ctx context.Context, o obs.Obs, ph *obs.Span, key string, req winofault.CampaignRequest, phase, total int, progress func(done, total int)) ([]int, error) {
+func (c *Coordinator) runPhase(ctx context.Context, o obs.Obs, ph *obs.Span, key string, req winofault.CampaignRequest, phase, total, samples int, progress func(done, total int)) ([]int, error) {
 	ph.SetAttr("units", total)
 	run := &campaignRun{
 		counts:   make([]int, total),
+		samples:  samples,
 		total:    total,
 		done:     make(chan struct{}),
 		progress: progress,
@@ -806,11 +825,11 @@ func (c *Coordinator) result(workerID string, res ShardResult) {
 	delete(c.leased, res.Task)
 	run := sh.run
 
-	if res.Error != "" || len(res.Counts) != sh.task.Hi-sh.task.Lo {
-		msg := res.Error
-		if msg == "" {
-			msg = fmt.Sprintf("shard %s returned %d counts for %d units", res.Task, len(res.Counts), sh.task.Hi-sh.task.Lo)
-		}
+	msg := res.Error
+	if msg == "" {
+		msg = run.badCounts(sh.task, res.Counts)
+	}
+	if msg != "" {
 		sh.attempts++
 		c.cfg.Logger.Warn("dist: shard failed",
 			"shard", res.Task, "worker", workerID, "attempt", sh.attempts, "max", c.cfg.MaxAttempts, "err", msg)

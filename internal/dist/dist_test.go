@@ -8,6 +8,8 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -399,6 +401,64 @@ func TestShardErrorRetriesThenFails(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("failing shards did not fail the run")
+	}
+}
+
+// TestOutOfRangeCountsRejected: a worker posting the right number of counts
+// with values outside [0, Samples] is treated like a failed shard — retried,
+// then failed after MaxAttempts — so the bad counts never reach the journal
+// and the service's local fallback caches the correct bytes.
+func TestOutOfRangeCountsRejected(t *testing.T) {
+	req := tinyReq()
+	req.Layers = false // 2 units, one shard
+	want := localBytes(t, req)
+
+	dir := t.TempDir()
+	journal := filepath.Join(dir, "journal")
+	cfg := CoordinatorConfig{LeaseTTL: 5 * time.Second, Poll: 10 * time.Millisecond, ShardUnits: 4,
+		MaxAttempts: 2, JournalPath: journal}
+	c, url := fleet(t, cfg, 0)
+	rw := newRawWorker(t, url, "miscounter")
+	cache := filepath.Join(dir, "cache")
+	s, err := service.New(service.Config{Jobs: 1, QueueDepth: 4, Logger: quiet(), Distributor: c, CacheDir: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close(context.Background())
+	j, err := s.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, counts := range [][]int{{-1, 2}, {2, req.Samples + 1}} {
+		task := rw.leaseOne(5 * time.Second)
+		body, _ := json.Marshal(ShardResult{Task: task.ID, Counts: counts})
+		resp, err := http.Post(url+"/workers/"+rw.id+"/result", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+	}
+	got, err := j.Wait(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("served bytes differ from local:\n%s\n%s", got, want)
+	}
+	key, _ := service.Key(req)
+	cached, err := os.ReadFile(filepath.Join(cache, key+".json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(cached, want) {
+		t.Errorf("cached bytes differ from local:\n%s\n%s", cached, want)
+	}
+	records, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(records, []byte(`"t":"shard"`)) {
+		t.Errorf("out-of-range counts were journaled:\n%s", records)
 	}
 }
 

@@ -7,11 +7,9 @@ import (
 	"repro/internal/fault"
 )
 
-func boolPtr(b bool) *bool { return &b }
-
-// TestDeltaEnabledResolution pins the option semantics: nil means on, an
-// explicit false forces full execution, and neuron-flip campaigns always run
-// the full path regardless of the flag (their in-place corruption is not
+// TestDeltaEnabledResolution pins the option semantics: delta execution is
+// on unless the FullExec test switch forces full execution, and neuron-flip
+// campaigns always run the full path (their in-place corruption is not
 // located by the event stream).
 func TestDeltaEnabledResolution(t *testing.T) {
 	cases := []struct {
@@ -19,11 +17,10 @@ func TestDeltaEnabledResolution(t *testing.T) {
 		want bool
 	}{
 		{Options{}, true},
-		{Options{DeltaExec: boolPtr(true)}, true},
-		{Options{DeltaExec: boolPtr(false)}, false},
+		{Options{FullExec: true}, false},
 		{Options{Semantics: fault.NeuronFlip}, false},
-		{Options{Semantics: fault.NeuronFlip, DeltaExec: boolPtr(true)}, false},
 		{Options{Semantics: fault.OperandFlip}, true},
+		{Options{Semantics: fault.OperandFlip, FullExec: true}, false},
 	}
 	for i, c := range cases {
 		if got := c.opts.deltaEnabled(); got != c.want {
@@ -48,7 +45,7 @@ func TestDeltaMatchesFullAcrossSemantics(t *testing.T) {
 			for _, workers := range []int{1, 4} {
 				opts := Options{Semantics: sem, Seed: 11, Intensity: rig.in, Workers: workers}
 				full := opts
-				full.DeltaExec = boolPtr(false)
+				full.FullExec = true
 				want := rig.r.AccuracyBatch(context.Background(), SweepCampaigns(bers, full), 2)
 				got := rig.r.AccuracyBatch(context.Background(), SweepCampaigns(bers, opts), 2)
 				for i := range want {
@@ -62,16 +59,15 @@ func TestDeltaMatchesFullAcrossSemantics(t *testing.T) {
 	}
 }
 
-// TestDeltaUnitRangeSharding: per-unit agreement counts from a delta-enabled
-// runner, computed shard by shard, must merge to exactly the counts a full-
-// execution runner produces over the whole range — the invariant that lets
-// delta and non-delta workers participate in the same distributed campaign.
+// TestDeltaUnitRangeSharding: per-unit agreement counts from a delta-
+// executing runner, computed shard by shard, must merge to exactly the
+// counts a full-execution runner produces over the whole range.
 func TestDeltaUnitRangeSharding(t *testing.T) {
 	st, _, stInt, _ := testRig(t, 6)
 	bers := []float64{1e-9, 1e-8}
 	opts := Options{Seed: 5, Intensity: stInt, Workers: 1}
 	full := opts
-	full.DeltaExec = boolPtr(false)
+	full.FullExec = true
 	cs := SweepCampaigns(bers, full)
 	const rounds = 3
 	want := st.UnitCounts(context.Background(), cs, rounds, 0, Units(cs, rounds))
@@ -118,7 +114,7 @@ func TestDeltaProtectionThinsToNothing(t *testing.T) {
 			t.Errorf("%s: delta accuracy = %v, want exactly 1 (events must thin to nothing)", name, acc)
 		}
 		forced := opts
-		forced.DeltaExec = boolPtr(false)
+		forced.FullExec = true
 		if acc := st.Accuracy(context.Background(), ber, forced, 2); acc != 1 {
 			t.Errorf("%s: full-execution accuracy = %v, want exactly 1", name, acc)
 		}

@@ -66,29 +66,17 @@ type Options struct {
 	// are still skipped as exactly fault-free, so hardware scenarios must
 	// run at a positive (background) BER to take effect.
 	HW *hwfault.Injection
-	// DeltaExec controls the fault-cone delta-execution fast path: each
-	// worker caches the golden per-node activations in its ExecContext and
-	// per round recomputes only the nodes downstream of that round's fault
-	// events, reusing golden outputs everywhere else. Results are
+	// FullExec forces full re-execution of every round. It exists for the
+	// delta-vs-full equivalence tests and production never sets it: by
+	// default each worker caches the golden per-node activations in its
+	// ExecContext and per round recomputes only the nodes downstream of that
+	// round's fault events, reusing golden outputs everywhere else. That is
 	// bit-identical to full execution (the engines are deterministic, so a
-	// node outside the fault cone can only produce its golden activation;
-	// pinned by the golden fixtures and the delta equivalence tests), so
-	// nil — the default — means enabled. Point at false to force full
-	// re-execution of every round (debugging, paired validation runs).
+	// node outside the fault cone can only produce its golden activation).
 	//
-	// Neuron-level semantics fall back to full execution automatically:
-	// neuron flips are not located by the event stream, so no dirty set can
-	// bound their cone.
-	DeltaExec *bool
-	// Backend names the registered compute backend (internal/kernel) that
-	// runs the fault-free hot paths; "" means the process default (scalar,
-	// unless overridden by the WF_BACKEND environment variable). Backends
-	// are bit-identical by contract — like Workers and DeltaExec this is a
-	// scheduling/performance knob, never a result-affecting one, and the
-	// service cache key ignores it for the same reason. The name must be
-	// registered: facades validate via kernel.Get before building Options,
-	// and UnitCounts panics on an unknown name (programming error).
-	Backend string
+	// Neuron-level semantics always run the full path: neuron flips are not
+	// located by the event stream, so no dirty set can bound their cone.
+	FullExec bool
 	// Workers caps the campaign scheduler's parallelism. 0 (the default)
 	// means GOMAXPROCS; 1 forces serial execution. Results are bit-identical
 	// for every worker count: each (campaign, round) work unit derives its
@@ -108,6 +96,9 @@ type Runner struct {
 	Net    *nn.Network
 	Inputs *tensor.QTensor // the full evaluation batch
 	golden []int
+	// backend, when set, replaces the production compute kernel on every
+	// execution context the runner hands out (see UseBackend).
+	backend kernel.Backend
 	// ecPool recycles per-worker ExecContexts across campaign batches, so
 	// scratch arenas and delta-execution golden planes warmed by one batch
 	// carry over to the next instead of being rebuilt per call. Contexts
@@ -122,6 +113,13 @@ func New(net *nn.Network, inputs *tensor.QTensor) *Runner {
 	r.golden = nn.Argmax(net.Forward(inputs, nil))
 	return r
 }
+
+// UseBackend installs b as the compute kernel of every subsequent campaign
+// unit on this runner; nil restores the production kernel. It is the seam
+// through which differential tests run whole campaigns on kernel.Reference
+// (results are bit-identical by contract); call it before the runner starts
+// campaigns, never concurrently with them.
+func (r *Runner) UseBackend(b kernel.Backend) { r.backend = b }
 
 // Golden returns the fault-free predictions of the evaluation batch.
 func (r *Runner) Golden() []int { return r.golden }
@@ -190,10 +188,11 @@ func (in *injector) Neuron(li int, q *tensor.QTensor) {
 }
 
 // deltaEnabled reports whether this campaign runs the delta-execution fast
-// path: on unless explicitly disabled, and never for neuron-level semantics
-// (whose in-place activation corruption the event stream cannot locate).
+// path: always, except under the FullExec test switch and for neuron-level
+// semantics (whose in-place activation corruption the event stream cannot
+// locate).
 func (o *Options) deltaEnabled() bool {
-	return (o.DeltaExec == nil || *o.DeltaExec) && o.Semantics != fault.NeuronFlip
+	return !o.FullExec && o.Semantics != fault.NeuronFlip
 }
 
 // Campaign is one accuracy measurement: a BER paired with campaign options.
@@ -209,11 +208,7 @@ type Campaign struct {
 // evaluation samples agree with the golden predictions. All randomness is
 // derived from (c.Opts.Seed, round) alone, so the result is independent of
 // which worker executes it and in what order.
-func (r *Runner) roundAgree(ec *nn.ExecContext, c *Campaign, bk kernel.Backend, convSet map[int]struct{}, round int) int {
-	// Stamp the campaign's backend every unit: pooled contexts are recycled
-	// across batches whose Options may differ. Backends are bit-identical,
-	// so this can affect wall-clock only.
-	ec.UseBackend(bk)
+func (r *Runner) roundAgree(ec *nn.ExecContext, c *Campaign, convSet map[int]struct{}, round int) int {
 	inj := &injector{
 		opts:    &c.Opts,
 		model:   fault.Model{BER: c.BER, Semantics: c.Opts.Semantics},
@@ -306,18 +301,10 @@ func (r *Runner) UnitCounts(ctx context.Context, cs []Campaign, rounds, lo, hi i
 		panic(fmt.Sprintf("faultsim: unit range [%d, %d) outside [0, %d)", lo, hi, len(units)))
 	}
 	workers := 1
-	bks := make([]kernel.Backend, len(cs))
 	for i := range cs {
 		if cs[i].Opts.Intensity != nil && len(cs[i].Opts.Intensity) != len(r.Net.Nodes) {
 			panic(fmt.Sprintf("faultsim: intensity length %d != %d nodes", len(cs[i].Opts.Intensity), len(r.Net.Nodes)))
 		}
-		// Facades validate backend names at the boundary; an unknown name
-		// here is engine misuse, like a bad intensity length.
-		bk, err := kernel.Get(cs[i].Opts.Backend)
-		if err != nil {
-			panic(fmt.Sprintf("faultsim: %v", err))
-		}
-		bks[i] = bk
 		// Resolve before taking the max: Workers == 0 means GOMAXPROCS and
 		// must not lose to an explicit small positive count.
 		if w := cs[i].Opts.ResolvedWorkers(); w > workers {
@@ -351,7 +338,7 @@ func (r *Runner) UnitCounts(ctx context.Context, cs []Campaign, rounds, lo, hi i
 	var completed atomic.Int64
 	r.runUnits(ctx, workers, hi-lo, func(ec *nn.ExecContext, u int) {
 		un := units[lo+u]
-		agree[u] = r.roundAgree(ec, &cs[un.c], bks[un.c], convSet, un.round)
+		agree[u] = r.roundAgree(ec, &cs[un.c], convSet, un.round)
 		if progress != nil {
 			progress(int(completed.Add(1)), hi-lo)
 		}

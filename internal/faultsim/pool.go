@@ -45,12 +45,15 @@ func resolveWorkers(workers int) int {
 
 // execContext draws a per-worker ExecContext from the runner's recycling
 // pool (warm scratch arenas and golden planes survive across batches),
-// falling back to a fresh one when the pool is empty.
+// falling back to a fresh one when the pool is empty, and stamps the
+// runner's kernel onto it.
 func (r *Runner) execContext() *nn.ExecContext {
-	if ec, ok := r.ecPool.Get().(*nn.ExecContext); ok {
-		return ec
+	ec, ok := r.ecPool.Get().(*nn.ExecContext)
+	if !ok {
+		ec = r.Net.NewExecContext()
 	}
-	return r.Net.NewExecContext()
+	ec.UseBackend(r.backend)
+	return ec
 }
 
 // runUnits executes fn(ctx, u) for every unit u in [0, n) across the given

@@ -1,7 +1,5 @@
 package kernel
 
-func init() { Register(blocked{}) }
-
 // blocked is the hand-blocked int32 backend: 4-wide output-column MAC
 // blocking for direct convolution (each loaded weight feeds four
 // accumulators) and output-channel-paired, 2-wide channel-unrolled Hadamard
@@ -12,11 +10,9 @@ func init() { Register(blocked{}) }
 // an int64 sum over exactly the same set of int64 products the scalar
 // reference sums, merely reassociated — and int64 addition is associative
 // and commutative (wrapping two's-complement ring), so the final sums are
-// bit-identical, for every input. The transforms are shared with scalar
+// bit-identical, for every input. The transforms are shared with Reference
 // outright: they are straight-line adds with no blocking freedom.
 type blocked struct{}
-
-func (blocked) Name() string { return "blocked" }
 
 func (blocked) ConvRow(acc []int64, in, w []int32, bias int64, inBase, stride, ic, kh, kw, chanStride, rowStride int) {
 	ow := len(acc)

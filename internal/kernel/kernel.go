@@ -1,9 +1,10 @@
-// Package kernel is the pluggable compute-backend seam of the engines: a
-// small Backend interface over the fault-free hot paths — the direct-conv
-// MAC chain, the FC dot product, the winograd f2/f4 input/output transforms
-// and the per-tile Hadamard accumulation — with a registry so alternative
-// implementations (blocked today; asm or SIMD tomorrow) are a one-package
-// drop-in behind a name.
+// Package kernel is the compute-kernel seam of the engines: a small Backend
+// interface over the fault-free hot paths — the direct-conv MAC chain, the
+// FC dot product, the winograd f2/f4 input/output transforms and the
+// per-tile Hadamard accumulation. Production runs one implementation, the
+// hand-blocked kernels returned by Default; Reference is the engines'
+// original scalar loops, kept as the bit-exactness oracle that differential
+// tests install through nn.ExecContext.UseBackend.
 //
 // The contract every Backend must honor is bit-exactness, not approximate
 // equality: int64 addition and multiplication form a commutative ring
@@ -18,14 +19,6 @@
 // correctness-critical, so they are not part of this interface.
 package kernel
 
-import (
-	"fmt"
-	"os"
-	"sort"
-	"strings"
-	"sync"
-)
-
 // Tile names a winograd tile algorithm for the transform entry points.
 type Tile int
 
@@ -39,11 +32,8 @@ const (
 // Backend implements the fault-free hot-path kernels. All methods are pure
 // integer arithmetic over caller-owned buffers: implementations must not
 // allocate (the zero-allocation steady state is pinned by alloc tests) and
-// must return accumulator sums bit-identical to the scalar reference.
+// must return accumulator sums bit-identical to Reference.
 type Backend interface {
-	// Name is the registry key ("scalar", "blocked").
-	Name() string
-
 	// ConvRow computes one direct-convolution output row of accumulators:
 	// for each ox in [0, len(acc)),
 	//
@@ -75,82 +65,6 @@ type Backend interface {
 	Output(t Tile, msum, y []int64)
 }
 
-var (
-	regMu    sync.RWMutex
-	backends = map[string]Backend{}
-
-	defaultOnce sync.Once
-	defaultBk   Backend
-)
-
-// Register adds a backend under its Name. It panics on an empty or duplicate
-// name; backends register from init functions, so a collision is a build
-// defect, not a runtime condition.
-func Register(b Backend) {
-	name := b.Name()
-	if name == "" {
-		panic("kernel: Register with empty backend name")
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := backends[name]; dup {
-		panic(fmt.Sprintf("kernel: backend %q registered twice", name))
-	}
-	backends[name] = b
-}
-
-// Get resolves a backend by name. The empty string means the process default
-// (see Default). Unknown names return a descriptive error listing the
-// registered backends, so misspellings surface at configuration time rather
-// than as silently-scalar campaigns.
-func Get(name string) (Backend, error) {
-	if name == "" {
-		return Default(), nil
-	}
-	regMu.RLock()
-	defer regMu.RUnlock()
-	if b, ok := backends[name]; ok {
-		return b, nil
-	}
-	names := make([]string, 0, len(backends))
-	for n := range backends {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return nil, fmt.Errorf("kernel: unknown backend %q (have %s)", name, strings.Join(names, ", "))
-}
-
-// Names lists the registered backends, sorted.
-func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	names := make([]string, 0, len(backends))
-	for n := range backends {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Default returns the process-default backend: scalar — the bit-exactness
-// reference — unless the WF_BACKEND environment variable names another
-// registered backend. The env override is the forcing seam CI's
-// backend-matrix job uses to run the whole test suite through an alternate
-// backend without touching any call site; because every backend is
-// bit-identical, the suite must pass unchanged. A WF_BACKEND naming no
-// registered backend panics: silently falling back would defeat the forcing.
-func Default() Backend {
-	defaultOnce.Do(func() {
-		defaultBk = scalar{}
-		if name := os.Getenv("WF_BACKEND"); name != "" {
-			regMu.RLock()
-			b, ok := backends[name]
-			regMu.RUnlock()
-			if !ok {
-				panic(fmt.Sprintf("kernel: WF_BACKEND=%q is not a registered backend", name))
-			}
-			defaultBk = b
-		}
-	})
-	return defaultBk
-}
+// Default returns the production backend, the hand-blocked kernels. Engine
+// arenas whose Backend is nil run on it.
+func Default() Backend { return blocked{} }

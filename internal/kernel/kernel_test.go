@@ -24,38 +24,13 @@ func randInt64s(r *rand.Rand, n int) []int64 {
 	return out
 }
 
-// TestRegistry pins the registry contract: both shipped backends resolve by
-// name, the empty name resolves to the default, and unknown names error with
-// the available set.
-func TestRegistry(t *testing.T) {
-	for _, name := range []string{"scalar", "blocked"} {
-		b, err := Get(name)
-		if err != nil {
-			t.Fatalf("Get(%q): %v", name, err)
-		}
-		if b.Name() != name {
-			t.Errorf("Get(%q).Name() = %q", name, b.Name())
-		}
-	}
-	if b, err := Get(""); err != nil || b == nil {
-		t.Errorf("Get(\"\") = %v, %v; want the default backend", b, err)
-	}
-	if _, err := Get("simd-avx512"); err == nil {
-		t.Error("Get of an unregistered backend did not error")
-	}
-	names := Names()
-	if len(names) < 2 || names[0] != "blocked" || names[1] != "scalar" {
-		t.Errorf("Names() = %v, want sorted [blocked scalar ...]", names)
-	}
-}
-
 // TestConvRowBitIdentical drives both backends over randomized geometries
 // and operands and requires byte-equal accumulator rows. This is the
 // kernel-level half of the cross-backend differential guarantee; the
 // engine-level half lives in the repo-root backend tests.
 func TestConvRowBitIdentical(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
-	sc, bl := scalar{}, blocked{}
+	sc, bl := Reference{}, blocked{}
 	for trial := 0; trial < 200; trial++ {
 		ic := 1 + r.Intn(5)
 		kh := 1 + r.Intn(4)
@@ -84,7 +59,7 @@ func TestConvRowBitIdentical(t *testing.T) {
 // plus remainders) including the empty row.
 func TestDotBitIdentical(t *testing.T) {
 	r := rand.New(rand.NewSource(8))
-	sc, bl := scalar{}, blocked{}
+	sc, bl := Reference{}, blocked{}
 	for n := 0; n <= 37; n++ {
 		a := randInts(r, n)
 		b := randInts(r, n)
@@ -100,7 +75,7 @@ func TestDotBitIdentical(t *testing.T) {
 // exercised.
 func TestHadamardBitIdentical(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
-	sc, bl := scalar{}, blocked{}
+	sc, bl := Reference{}, blocked{}
 	for _, t2 := range []int{16, 36} {
 		for _, outC := range []int{1, 2, 3, 8, 13} {
 			for _, inC := range []int{1, 2, 3, 4, 7, 16} {
@@ -126,7 +101,7 @@ func TestHadamardBitIdentical(t *testing.T) {
 // so if a backend ever specializes them).
 func TestTransformsShared(t *testing.T) {
 	r := rand.New(rand.NewSource(10))
-	sc, bl := scalar{}, blocked{}
+	sc, bl := Reference{}, blocked{}
 	for _, tc := range []struct {
 		tile Tile
 		t, m int

@@ -1,21 +1,19 @@
 package kernel
 
-func init() { Register(scalar{}) }
+// Reference is the bit-exactness oracle: the engines' original inner loops,
+// moved here verbatim. Production runs the blocked kernels (Default); tests
+// install Reference through nn.ExecContext.UseBackend and require every
+// result to match it to the bit.
+type Reference struct{}
 
-// scalar is the reference backend: the engines' original inner loops, moved
-// here verbatim. Every other backend is validated bit-exactly against it.
-type scalar struct{}
-
-func (scalar) Name() string { return "scalar" }
-
-func (scalar) ConvRow(acc []int64, in, w []int32, bias int64, inBase, stride, ic, kh, kw, chanStride, rowStride int) {
+func (Reference) ConvRow(acc []int64, in, w []int32, bias int64, inBase, stride, ic, kh, kw, chanStride, rowStride int) {
 	for ox := range acc {
 		acc[ox] = convOne(in, w, bias, inBase+ox*stride, ic, kh, kw, chanStride, rowStride)
 	}
 }
 
 // convOne is the scalar MAC chain of one output element, shared with the
-// blocked backend's remainder columns.
+// blocked kernels' remainder columns.
 func convOne(in, w []int32, bias int64, base, ic, kh, kw, chanStride, rowStride int) int64 {
 	acc := bias
 	wi := 0
@@ -34,7 +32,7 @@ func convOne(in, w []int32, bias int64, base, ic, kh, kw, chanStride, rowStride 
 	return acc
 }
 
-func (scalar) Dot(a, b []int32, bias int64) int64 {
+func (Reference) Dot(a, b []int32, bias int64) int64 {
 	b = b[:len(a)]
 	acc := bias
 	for i, av := range a {
@@ -43,7 +41,7 @@ func (scalar) Dot(a, b []int32, bias int64) int64 {
 	return acc
 }
 
-func (scalar) Hadamard(msum, vt []int64, ut []int32, t2, outC, inC int) {
+func (Reference) Hadamard(msum, vt []int64, ut []int32, t2, outC, inC int) {
 	// For each (position, out channel) both the weight row ut[i][o][:] and
 	// the activation row vt[i][:] are contiguous; summation order is
 	// irrelevant to the result (int64 ring), so the 4-wide unroll is
@@ -70,7 +68,7 @@ func (scalar) Hadamard(msum, vt []int64, ut []int32, t2, outC, inC int) {
 	}
 }
 
-func (scalar) InputRows(t Tile, src []int32, stride int, out []int64) {
+func (Reference) InputRows(t Tile, src []int32, stride int, out []int64) {
 	if t == F4 {
 		f4InputRows(src, stride, out)
 		return
@@ -78,7 +76,7 @@ func (scalar) InputRows(t Tile, src []int32, stride int, out []int64) {
 	f2InputRows(src, stride, out)
 }
 
-func (scalar) Output(t Tile, msum, y []int64) {
+func (Reference) Output(t Tile, msum, y []int64) {
 	if t == F4 {
 		f4Output(msum, y)
 		return
@@ -89,7 +87,7 @@ func (scalar) Output(t Tile, msum, y []int64) {
 // The straight-line shift-add transform networks below are specializations
 // of the generic matTransform for the constant BT/AT matrices of F(2x2,3x3)
 // and F(4x4,3x3) — exactly as hardware implements them. They are shared by
-// every backend: the transforms are pure adds with tiny constant multiplies
+// both backends: the transforms are pure adds with tiny constant multiplies
 // and leave no blocking freedom worth a per-backend variant.
 
 // f2InputRows computes out = BT·d·BTᵀ for F(2x2,3x3), reading the 4x4 window

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/fixed"
-	"repro/internal/kernel"
 	"repro/internal/tensor"
 )
 
@@ -163,40 +162,31 @@ func TestForwardDeltaInputChange(t *testing.T) {
 
 // TestForwardDeltaAllocFree extends the arena contract to the golden-snapshot
 // plane: once the plane and scratch arenas are warm, the delta machinery adds
-// zero heap allocations, under both compute backends. A clean round allocates
+// zero heap allocations on the production kernel. A clean round allocates
 // exactly nothing; a dirty round allocates no more than the same round under
 // full ForwardCtx (the event-replay engines allocate proportionally to the
 // events they apply, which is unchanged by delta execution).
 func TestForwardDeltaAllocFree(t *testing.T) {
 	for _, kind := range []EngineKind{Direct, Winograd} {
-		for _, backend := range []string{"scalar", "blocked"} {
-			bk, err := kernel.Get(backend)
-			if err != nil {
-				t.Fatal(err)
-			}
-			net := buildTiny(kind, 17, fixed.Int16)
-			in := qIn(46, 2, 3, 16, 16, fixed.Int16)
-			conv1 := nodeByName(t, net, "conv1")
-			dirty := &mapInjector{events: map[int][]fault.Event{
-				conv1: {{Class: fault.OpMul, Op: 3, Bit: 27, Operand: 0x80}},
-			}}
-			clean := Injector(&mapInjector{})
-			ctx := net.NewExecContext()
-			ctx.UseBackend(bk)
-			net.ForwardDelta(ctx, in, dirty) // warm plane + every node's scratch
-			if allocs := testing.AllocsPerRun(10, func() { net.ForwardDelta(ctx, in, clean) }); allocs != 0 {
-				t.Errorf("%v/%s: steady-state clean ForwardDelta allocates %v times per round, want 0",
-					kind, backend, allocs)
-			}
-			fctx := net.NewExecContext()
-			fctx.UseBackend(bk)
-			net.ForwardCtx(fctx, in, dirty) // warm the full-execution baseline
-			full := testing.AllocsPerRun(10, func() { net.ForwardCtx(fctx, in, dirty) })
-			delta := testing.AllocsPerRun(10, func() { net.ForwardDelta(ctx, in, dirty) })
-			if delta > full {
-				t.Errorf("%v/%s: dirty ForwardDelta allocates %v times per round, full ForwardCtx %v — delta must add none",
-					kind, backend, delta, full)
-			}
+		net := buildTiny(kind, 17, fixed.Int16)
+		in := qIn(46, 2, 3, 16, 16, fixed.Int16)
+		conv1 := nodeByName(t, net, "conv1")
+		dirty := &mapInjector{events: map[int][]fault.Event{
+			conv1: {{Class: fault.OpMul, Op: 3, Bit: 27, Operand: 0x80}},
+		}}
+		clean := Injector(&mapInjector{})
+		ctx := net.NewExecContext()
+		net.ForwardDelta(ctx, in, dirty) // warm plane + every node's scratch
+		if allocs := testing.AllocsPerRun(10, func() { net.ForwardDelta(ctx, in, clean) }); allocs != 0 {
+			t.Errorf("%v: steady-state clean ForwardDelta allocates %v times per round, want 0", kind, allocs)
+		}
+		fctx := net.NewExecContext()
+		net.ForwardCtx(fctx, in, dirty) // warm the full-execution baseline
+		full := testing.AllocsPerRun(10, func() { net.ForwardCtx(fctx, in, dirty) })
+		delta := testing.AllocsPerRun(10, func() { net.ForwardDelta(ctx, in, dirty) })
+		if delta > full {
+			t.Errorf("%v: dirty ForwardDelta allocates %v times per round, full ForwardCtx %v — delta must add none",
+				kind, delta, full)
 		}
 	}
 }

@@ -49,14 +49,14 @@ type ExecContext struct {
 	scratch []*Scratch          // per-node reusable buffer arenas (see scratch.go)
 	golden  goldenPlane         // cached golden activations (see delta.go)
 	delta   deltaState          // per-round delta-execution working set
-	backend kernel.Backend      // compute backend for the fault-free hot paths
+	backend kernel.Backend      // nil: the production kernel (kernel.Default)
 }
 
-// UseBackend selects the compute backend for subsequent forward passes on
-// this context; nil restores the process default (kernel.Default, resolved at
-// the engine level). Backends are bit-identical by contract, so switching can
-// never change results — only wall-clock — which is why contexts recycled
-// across campaign batches (faultsim's pool) may be restamped freely.
+// UseBackend selects the compute kernel for subsequent forward passes on
+// this context; nil restores the production kernel (kernel.Default, resolved
+// at the engine level). It is the seam through which tests run the engines
+// on kernel.Reference: backends are bit-identical by contract, so switching
+// can never change results.
 func (c *ExecContext) UseBackend(b kernel.Backend) {
 	if c.backend == b {
 		return

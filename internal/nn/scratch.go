@@ -21,7 +21,7 @@ type Scratch struct {
 	out  *tensor.QTensor   // recycled output of simple (non-conv) ops
 	conv *conv.Scratch     // direct-convolution arena
 	wg   *winograd.Scratch // winograd-layer arena
-	kb   kernel.Backend    // compute backend stamped onto the engine arenas
+	kb   kernel.Backend    // compute kernel stamped onto the engine arenas (nil: production)
 }
 
 // Output returns a recycled output tensor of the given shape and format.

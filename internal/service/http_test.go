@@ -291,3 +291,59 @@ func TestHTTPValidation(t *testing.T) {
 		t.Errorf("overflow submission: %d", code)
 	}
 }
+
+// submitRaw POSTs a raw JSON body to a fresh server (so no cache entry is
+// shared between calls), waits for the campaign, and returns its status.
+func submitRaw(t *testing.T, body string) winofault.CampaignStatus {
+	t.Helper()
+	_, ts := testServer(t, Config{Jobs: 1, QueueDepth: 4})
+	resp, err := http.Post(ts.URL+"/campaigns?wait=1", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST %s: %d %s", body, resp.StatusCode, raw)
+	}
+	var st winofault.CampaignStatus
+	if err := json.Unmarshal(raw, &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.State != winofault.StateDone {
+		t.Fatalf("POST %s: state %s (%s)", body, st.State, st.Error)
+	}
+	return st
+}
+
+// requireIgnoredFields: requests from older clients carrying the deprecated
+// scheduling fields must be accepted over the wire (the handler rejects
+// unknown fields, so dropping them from CampaignRequest would 400 them) and
+// get the same campaign key and the same result bytes as the request
+// without them.
+func requireIgnoredFields(t *testing.T, extras ...string) {
+	t.Helper()
+	const base = `"model":"vgg19","engine":"winograd","inputSize":16,"samples":4,"rounds":1,"bers":[1e-9,1e-8]`
+	want := submitRaw(t, "{"+base+"}")
+	for _, extra := range extras {
+		got := submitRaw(t, "{"+base+","+extra+"}")
+		if got.ID != want.ID {
+			t.Errorf("%s: key %s, want %s", extra, got.ID, want.ID)
+		}
+		if !bytes.Equal(got.Result, want.Result) {
+			t.Errorf("%s: result bytes differ:\n%s\n%s", extra, got.Result, want.Result)
+		}
+	}
+}
+
+// TestKeyIgnoresBackend: there is one compute kernel, so any backend name
+// an older client sends — including one that never existed — is ignored.
+func TestKeyIgnoresBackend(t *testing.T) {
+	requireIgnoredFields(t, `"backend":"scalar"`, `"backend":"simd-avx512"`)
+}
+
+// TestKeyIgnoresDeltaExec: delta execution is always on, so the old switch
+// is ignored in both spellings.
+func TestKeyIgnoresDeltaExec(t *testing.T) {
+	requireIgnoredFields(t, `"deltaExec":false`, `"deltaExec":true`)
+}

@@ -36,10 +36,10 @@ func canonicalFloat(v float64) string {
 // Canonical returns the canonical serialization of a campaign request: the
 // platform defaults applied, enums validated, every float in shortest
 // round-trip form, protection entries sorted by layer name, and the
-// scheduling-only Workers, DeltaExec and Backend fields dropped (results are
-// bit-identical for any worker count, with delta execution on or off, and
-// under every compute backend). Two requests describe the same campaign if
-// and only if their canonical strings are equal.
+// scheduling-only Workers and Priority and the deprecated DeltaExec and
+// Backend fields dropped (results are bit-identical for any worker count).
+// Two requests describe the same campaign if and only if their canonical
+// strings are equal.
 func Canonical(req winofault.CampaignRequest) (string, error) {
 	cfg, err := req.SystemConfig()
 	if err != nil {

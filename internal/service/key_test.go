@@ -121,40 +121,6 @@ func TestKeyIgnoresWorkers(t *testing.T) {
 	}
 }
 
-// TestKeyIgnoresDeltaExec: like Workers, delta execution is scheduling, not
-// campaign identity — results are bit-identical with it on, off or defaulted
-// (pinned by the delta equivalence fixtures), so none of the three spellings
-// may shard the cache, and the wfcampaign/v1 schema stays unchanged.
-func TestKeyIgnoresDeltaExec(t *testing.T) {
-	off, on := false, true
-	want := mustKey(t, winofault.CampaignRequest{BERs: []float64{1e-9}})
-	for name, req := range map[string]winofault.CampaignRequest{
-		"explicit off": {BERs: []float64{1e-9}, DeltaExec: &off},
-		"explicit on":  {BERs: []float64{1e-9}, DeltaExec: &on},
-	} {
-		if got := mustKey(t, req); got != want {
-			t.Errorf("%s sharded the cache: %s vs %s", name, got, want)
-		}
-	}
-}
-
-// TestKeyIgnoresBackend: the compute backend is scheduling, not campaign
-// identity — every backend is bit-identical by contract (pinned by the
-// cross-backend differential tests) — so no registered spelling may shard
-// the cache, while unknown names are rejected at submit time.
-func TestKeyIgnoresBackend(t *testing.T) {
-	want := mustKey(t, winofault.CampaignRequest{BERs: []float64{1e-9}})
-	for _, backend := range []string{"scalar", "blocked"} {
-		req := winofault.CampaignRequest{BERs: []float64{1e-9}, Backend: backend}
-		if got := mustKey(t, req); got != want {
-			t.Errorf("backend %q sharded the cache: %s vs %s", backend, got, want)
-		}
-	}
-	if _, err := Key(winofault.CampaignRequest{BERs: []float64{1e-9}, Backend: "simd-avx512"}); err == nil {
-		t.Error("Key accepted an unregistered backend name")
-	}
-}
-
 // TestKeyDistinguishesResultAffectingFields: every field that changes the
 // campaign's outcome must change the key.
 func TestKeyDistinguishesResultAffectingFields(t *testing.T) {

@@ -377,7 +377,7 @@ func TestCampaignRoutesScopedToTenant(t *testing.T) {
 	}
 }
 
-// TestKeyIgnoresPriority: like Workers/DeltaExec/Backend, Priority is a
+// TestKeyIgnoresPriority: like Workers, Priority is a
 // scheduling hint — it must not change a campaign's content address.
 func TestKeyIgnoresPriority(t *testing.T) {
 	plain := sweepReq(1)

@@ -196,8 +196,8 @@ func (l *Layer) sumAddsPerOut() int64 {
 // to one (Layer, goroutine) pair and makes steady-state fault-free passes
 // allocation-free. See DESIGN.md, memory model.
 type Scratch struct {
-	// Backend selects the compute backend for the fault-free tile paths;
-	// nil means the process default (kernel.Default). Backends are
+	// Backend substitutes the compute kernel of the fault-free tile paths;
+	// nil means the production kernel (kernel.Default). Backends are
 	// bit-identical by contract, and fault replay ignores this entirely.
 	Backend kernel.Backend
 

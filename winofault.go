@@ -25,7 +25,6 @@ import (
 	"repro/internal/faultsim"
 	"repro/internal/fixed"
 	"repro/internal/hwfault"
-	"repro/internal/kernel"
 	"repro/internal/models"
 	"repro/internal/nn"
 	"repro/internal/systolic"
@@ -96,20 +95,6 @@ type Config struct {
 	// serial). Every result is bit-identical for any worker count; Workers
 	// only changes wall-clock time.
 	Workers int
-	// DeltaExec controls the fault-cone delta-execution fast path: per
-	// Monte-Carlo round only the nodes downstream of that round's fault
-	// events are recomputed against each worker's cached golden
-	// activations. Like Workers it can only change wall-clock time —
-	// results are bit-identical either way — so nil (the default) means
-	// enabled; point at false to force full re-execution of every round.
-	// Neuron-flip semantics always run the full path.
-	DeltaExec *bool
-	// Backend names the compute backend for the fault-free hot paths:
-	// "scalar" (the bit-exactness reference) or "blocked" (hand-blocked
-	// kernels); "" means the process default. Backends are bit-identical by
-	// contract, so like Workers and DeltaExec this only changes wall-clock
-	// time. Unknown names are rejected by New.
-	Backend string
 	// Scenario optionally locates the campaign's faults on the DNN-Engine
 	// PE array (stuck PE, SEU burst, voltage-stressed region) instead of
 	// drawing them i.i.d. over the op census. Requires ResultFlip semantics
@@ -308,9 +293,6 @@ func New(cfg Config) (*System, error) {
 	if cfg.InputSize < 0 {
 		return nil, fmt.Errorf("winofault: InputSize %d is negative (0 means the default, %d)", cfg.InputSize, 32)
 	}
-	if _, err := kernel.Get(cfg.Backend); err != nil {
-		return nil, fmt.Errorf("winofault: %w", err)
-	}
 	cfg.normalize()
 	scale := models.Options{WidthMult: cfg.WidthMult, InputSize: cfg.InputSize}
 	arch, err := models.ByName(cfg.Model, scale)
@@ -342,8 +324,6 @@ func New(cfg Config) (*System, error) {
 			Intensity:       models.IntensityFor(arch, full, cfg.kind(), cfg.tile()),
 			NeuronIntensity: models.NeuronIntensityFor(arch, full),
 			Workers:         cfg.Workers,
-			DeltaExec:       cfg.DeltaExec,
-			Backend:         cfg.Backend,
 		},
 	}
 	sys.sched = hwfault.NetworkSchedules(systolic.DNNEngine16, arch, cfg.kind(), cfg.tile(), cfg.Samples)
