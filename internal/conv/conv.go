@@ -121,6 +121,7 @@ type Scratch struct {
 	bias    []int64
 	biasFmt fixed.Format
 	biasOK  bool
+	evs     fault.Sorted // event rounds: events in replay-walk order
 }
 
 // cachedBias returns accumBias through the scratch cache (the scale depends
@@ -140,9 +141,9 @@ func (p *Params) cachedBias(sc *Scratch, inFmt fixed.Format) []int64 {
 // padInput returns the input extended by p.Pad zero rows/columns on every
 // spatial side, recycled from sc. For Pad == 0 the input itself is returned
 // (it is only ever read). The recycled buffer's zero border is written only
-// at allocation: interior rows are refreshed every pass and the border is
-// geometry-dependent only.
-func (p *Params) padInput(sc *Scratch, in *tensor.QTensor) *tensor.QTensor {
+// at allocation: interior rows are refreshed every pass (for the samples in
+// rows) and the border is geometry-dependent only.
+func (p *Params) padInput(sc *Scratch, in *tensor.QTensor, rows tensor.Rows) *tensor.QTensor {
 	if p.Pad == 0 {
 		return in
 	}
@@ -153,6 +154,9 @@ func (p *Params) padInput(sc *Scratch, in *tensor.QTensor) *tensor.QTensor {
 	}
 	dst := sc.padded
 	for n := 0; n < s.N; n++ {
+		if !rows.Has(n) {
+			continue
+		}
 		for c := 0; c < s.C; c++ {
 			for h := 0; h < s.H; h++ {
 				srcBase := s.Index(n, c, h, 0)
@@ -173,16 +177,18 @@ func Forward(in *tensor.QTensor, p *Params) *tensor.QTensor {
 // bit-exactly at their op sites, allocating fresh buffers. Hot paths use
 // ForwardFaultyCtx with a reusable Scratch.
 func ForwardFaulty(in *tensor.QTensor, p *Params, events []fault.Event) *tensor.QTensor {
-	return ForwardFaultyCtx(&Scratch{}, in, p, events)
+	return ForwardFaultyCtx(&Scratch{}, in, p, events, nil)
 }
 
-// ForwardFaultyCtx is ForwardFaulty drawing every buffer from sc. The fast
-// path computes the whole layer through sc's compute backend (see
+// ForwardFaultyCtx is ForwardFaulty drawing every buffer from sc and
+// computing only the batch samples in rows (nil: all of them). The fast
+// path computes those samples through sc's compute backend (see
 // internal/kernel; every backend is bit-identical), then every output
 // element touched by an event is recomputed through the scalar replay path
-// with its events applied in op order. The returned tensor aliases sc and is
-// valid until the next call with the same scratch.
-func ForwardFaultyCtx(sc *Scratch, in *tensor.QTensor, p *Params, events []fault.Event) *tensor.QTensor {
+// with its events applied in op order. Output rows of the other samples are
+// left unspecified and their events ignored. The returned tensor aliases sc
+// and is valid until the next call with the same scratch.
+func ForwardFaultyCtx(sc *Scratch, in *tensor.QTensor, p *Params, events []fault.Event, rows tensor.Rows) *tensor.QTensor {
 	if sc == nil {
 		sc = &Scratch{}
 	}
@@ -194,7 +200,7 @@ func ForwardFaultyCtx(sc *Scratch, in *tensor.QTensor, p *Params, events []fault
 	if in.Shape.C != ws.C {
 		panic(fmt.Sprintf("conv: input channels %d != weight channels %d", in.Shape.C, ws.C))
 	}
-	padded := p.padInput(sc, in)
+	padded := p.padInput(sc, in, rows)
 	outShape := p.OutShape(in.Shape)
 	if sc.out == nil || sc.out.Shape != outShape || sc.out.Fmt != p.OutFmt {
 		sc.out = tensor.NewQ(outShape, p.OutFmt)
@@ -211,6 +217,9 @@ func ForwardFaultyCtx(sc *Scratch, in *tensor.QTensor, p *Params, events []fault
 		// Fully-connected case (1x1 kernel over a 1x1 plane): both operand
 		// rows are contiguous, so the whole output element is one dot.
 		for n := 0; n < outShape.N; n++ {
+			if !rows.Has(n) {
+				continue
+			}
 			a := padded.Data[n*ic : (n+1)*ic]
 			for o := 0; o < oc; o++ {
 				var b int64
@@ -228,6 +237,9 @@ func ForwardFaultyCtx(sc *Scratch, in *tensor.QTensor, p *Params, events []fault
 		accRow := sc.accRow[:ow]
 		chanStride := ph * pw
 		for n := 0; n < outShape.N; n++ {
+			if !rows.Has(n) {
+				continue
+			}
 			for o := 0; o < oc; o++ {
 				var b int64
 				if bias != nil {
@@ -248,75 +260,90 @@ func ForwardFaultyCtx(sc *Scratch, in *tensor.QTensor, p *Params, events []fault
 	}
 
 	if len(events) > 0 {
-		p.replayFaults(padded, in.Fmt, out, bias, shift, events)
+		p.replayFaults(sc, padded, out, bias, shift, events, rows)
 	}
 	return out
 }
 
-// outputOfEvent maps a fault event to the flat index of the output element it
-// corrupts.
-func (p *Params) outputOfEvent(ev fault.Event, outShape tensor.Shape) int {
+// opsPerOutput returns how many ops of class cl feed one output element:
+// K = IC·KH·KW products, or K-1 accumulation adds plus the bias add.
+func (p *Params) opsPerOutput(cl fault.OpClass) int64 {
 	k := int64(p.Weight.Shape.C) * int64(p.Weight.Shape.H) * int64(p.Weight.Shape.W)
-	if ev.Class == fault.OpMul {
-		return int(ev.Op / k)
+	if cl == fault.OpMul {
+		return k
 	}
-	adds := k - 1
 	if p.BiasF != nil {
-		adds++
+		return k
 	}
-	return int(ev.Op / adds)
+	return k - 1
 }
 
-func (p *Params) replayFaults(padded *tensor.QTensor, inFmt fixed.Format, out *tensor.QTensor, bias []int64, shift int, events []fault.Event) {
+// EventSample maps a fault event to the batch sample whose output it
+// corrupts, for an input of shape in.
+func (p *Params) EventSample(in tensor.Shape, ev fault.Event) int {
+	flat := ev.Op / p.opsPerOutput(ev.Class)
+	return int(flat) / p.OutShape(in).SampleElems()
+}
+
+// replayFaults recomputes every output element an event touches, in the
+// samples of rows. Events are keyed by (output element, class, local step),
+// the order replayOutput walks them in, and rebased to their local step.
+func (p *Params) replayFaults(sc *Scratch, padded, out *tensor.QTensor, bias []int64, shift int, events []fault.Event, rows tensor.Rows) {
 	outShape := out.Shape
-	byOutput := make(map[int][]fault.Event)
-	for _, ev := range events {
-		o := p.outputOfEvent(ev, outShape)
-		byOutput[o] = append(byOutput[o], ev)
+	k := p.opsPerOutput(fault.OpMul) // >= every class's ops per output
+	se := &sc.evs
+	se.Reset(events)
+	for i, ev := range events {
+		per := p.opsPerOutput(ev.Class)
+		key := ev.Op / per * 2
+		if ev.Class != fault.OpMul {
+			key++
+		}
+		se.Keys[i] = key*k + ev.Op%per
+		se.Evs[i].Op = ev.Op % per
 	}
-	for flat, evs := range byOutput {
-		ox := flat % outShape.W
-		oy := (flat / outShape.W) % outShape.H
-		o := (flat / (outShape.W * outShape.H)) % outShape.C
-		n := flat / (outShape.W * outShape.H * outShape.C)
-		out.Data[flat] = p.replayOutput(padded, inFmt, bias, shift, n, o, oy, ox, flat, evs)
+	se.Sort()
+	perSample := outShape.SampleElems()
+	for lo := 0; lo < len(se.Evs); {
+		flat := se.Keys[lo] / (2 * k)
+		hi, mulEnd := lo, lo
+		for hi < len(se.Evs) && se.Keys[hi]/(2*k) == flat {
+			if se.Evs[hi].Class == fault.OpMul {
+				mulEnd = hi + 1
+			}
+			hi++
+		}
+		f := int(flat)
+		if n := f / perSample; rows.Has(n) {
+			ox := f % outShape.W
+			oy := (f / outShape.W) % outShape.H
+			o := (f / (outShape.W * outShape.H)) % outShape.C
+			out.Data[f] = p.replayOutput(padded, bias, shift, n, o, oy, ox, se.Evs[lo:mulEnd], se.Evs[mulEnd:hi])
+		}
+		lo = hi
 	}
 }
 
 // replayOutput recomputes one output element executing the MAC chain in op
-// order, applying the events that target it. Events are matched by their
-// local op step; the semantics (operand vs result flip) is encoded by the
-// Operand field being meaningful only for OperandFlip samples, so replay
-// distinguishes them via the Params' caller contract: events sampled with
-// ResultFlip always carry Operand == 0 and bit indices covering the result
-// register, which replay interprets through applyMulFault/applyAddFault.
-func (p *Params) replayOutput(padded *tensor.QTensor, inFmt fixed.Format, bias []int64, shift int, n, o, oy, ox, flat int, evs []fault.Event) int32 {
+// order, applying the events that target it: mulEvs and addEvs hold them by
+// local step (Op rebased to the element's own chain), ascending, so the walk
+// consumes each list with a cursor. The semantics (operand vs result flip)
+// is encoded by the Operand field being meaningful only for OperandFlip
+// samples, so replay distinguishes them via the Params' caller contract:
+// events sampled with ResultFlip always carry Operand == 0 and bit indices
+// covering the result register, which replay interprets through
+// applyMulFault/applyAddFault.
+func (p *Params) replayOutput(padded *tensor.QTensor, bias []int64, shift int, n, o, oy, ox int, mulEvs, addEvs []fault.Event) int32 {
 	ws := p.Weight.Shape
 	ic, kh, kw := ws.C, ws.H, ws.W
 	k := ic * kh * kw
-	addsPerOut := k - 1
-	if p.BiasF != nil {
-		addsPerOut++
-	}
-	mulBase := int64(flat) * int64(k)
-	addBase := int64(flat) * int64(addsPerOut)
-
-	// Index events by local step for O(1) lookup during the chain walk.
-	mulEvents := make(map[int64][]fault.Event)
-	addEvents := make(map[int64][]fault.Event)
-	for _, ev := range evs {
-		if ev.Class == fault.OpMul {
-			mulEvents[ev.Op-mulBase] = append(mulEvents[ev.Op-mulBase], ev)
-		} else {
-			addEvents[ev.Op-addBase] = append(addEvents[ev.Op-addBase], ev)
-		}
-	}
 
 	w := p.Weight
 	iy0, ix0 := oy*p.Stride, ox*p.Stride
 	ph, pw := padded.Shape.H, padded.Shape.W
 
 	var acc int64
+	var at []fault.Event
 	step := int64(0) // product index
 	for c := 0; c < ic; c++ {
 		for ky := 0; ky < kh; ky++ {
@@ -324,7 +351,8 @@ func (p *Params) replayOutput(padded *tensor.QTensor, inFmt fixed.Format, bias [
 				a := int64(padded.Data[((n*padded.Shape.C+c)*ph+iy0+ky)*pw+ix0+kx])
 				b := int64(w.Data[((o*ic+c)*kh+ky)*kw+kx])
 				prod := a * b
-				for _, ev := range mulEvents[step] {
+				at, mulEvs = fault.TakeOp(mulEvs, step)
+				for _, ev := range at {
 					prod = applyMulFault(ev, a, b, prod)
 					// Subsequent events on the same op re-derive operands
 					// from the current product only for result flips; operand
@@ -337,12 +365,12 @@ func (p *Params) replayOutput(padded *tensor.QTensor, inFmt fixed.Format, bias [
 				if step == 0 {
 					acc = prod
 				} else {
-					addStep := step - 1
-					for _, ev := range addEvents[addStep] {
+					at, addEvs = fault.TakeOp(addEvs, step-1)
+					for _, ev := range at {
 						acc, prod = applyAddOperandFault(ev, acc, prod)
 					}
 					acc += prod
-					for _, ev := range addEvents[addStep] {
+					for _, ev := range at {
 						if isResultFlip(ev) {
 							acc = fixed.FlipBit(acc, uint(ev.Bit))
 						}
@@ -354,12 +382,12 @@ func (p *Params) replayOutput(padded *tensor.QTensor, inFmt fixed.Format, bias [
 	}
 	if p.BiasF != nil {
 		b := bias[o]
-		biasStep := int64(k - 1)
-		for _, ev := range addEvents[biasStep] {
+		at, _ = fault.TakeOp(addEvs, int64(k-1))
+		for _, ev := range at {
 			acc, b = applyAddOperandFault(ev, acc, b)
 		}
 		acc += b
-		for _, ev := range addEvents[biasStep] {
+		for _, ev := range at {
 			if isResultFlip(ev) {
 				acc = fixed.FlipBit(acc, uint(ev.Bit))
 			}

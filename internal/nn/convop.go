@@ -80,9 +80,16 @@ func (o *ConvOp) Census(ins []tensor.Shape) fault.Census {
 	return o.direct.Census(ins[0])
 }
 
-func (o *ConvOp) Forward(sc *Scratch, ins []*tensor.QTensor, events []fault.Event) *tensor.QTensor {
+func (o *ConvOp) EventSample(ins []tensor.Shape, ev fault.Event) int {
 	if o.wg != nil {
-		return o.wg.ForwardFaultyCtx(sc.wgScratch(), ins[0], events)
+		return o.wg.EventSample(ins[0], ev)
 	}
-	return conv.ForwardFaultyCtx(sc.convScratch(), ins[0], o.direct, events)
+	return o.direct.EventSample(ins[0], ev)
+}
+
+func (o *ConvOp) Forward(sc *Scratch, ins []*tensor.QTensor, events []fault.Event, rows tensor.Rows) *tensor.QTensor {
+	if o.wg != nil {
+		return o.wg.ForwardFaultyCtx(sc.wgScratch(), ins[0], events, rows)
+	}
+	return conv.ForwardFaultyCtx(sc.convScratch(), ins[0], o.direct, events, rows)
 }

@@ -1,17 +1,19 @@
 package nn
 
 import (
+	"slices"
+
 	"repro/internal/fault"
 	"repro/internal/tensor"
 )
 
 // Delta execution (see DESIGN.md "Delta execution"): a fault round differs
-// from the golden run only at the nodes its fault events touch. Because
-// every Op.Forward is a deterministic function of its inputs and events, a
-// node with no events whose ancestors are all clean produces exactly the
-// golden activation — so the round only needs to recompute the fault cone,
-// the downstream closure of the event-carrying nodes, and can reuse the
-// cached golden activation everywhere else.
+// from the golden run only where its fault events reach. Every op is a
+// deterministic function of its inputs and events, and independent across
+// the samples of the batch, so a (node, sample) slice with no events whose
+// input slices are all clean produces exactly the golden activation — the
+// round only needs to recompute the fault cone, tracked per (node, sample),
+// and can reuse the cached golden activation everywhere else.
 //
 // Soundness rests on two existing contracts:
 //
@@ -36,8 +38,10 @@ type goldenPlane struct {
 // deltaState is the reusable per-round working set of ForwardDelta.
 type deltaState struct {
 	events     [][]fault.Event // per-node events of the current round
-	dirty      []bool          // per-node membership in the round's fault cone
+	rows       []tensor.Rows   // per-node dirty samples: the round's fault cone
+	dirty      []bool          // per-node: some sample is still dirty
 	recomputed int             // Op.Forward calls the last round made
+	samples    int             // (node, sample) slices the last round recomputed
 }
 
 // captureGolden runs one full fault-free pass and snapshots every node's
@@ -52,6 +56,10 @@ func (c *ExecContext) captureGolden(in *tensor.QTensor) {
 	if c.delta.events == nil || len(c.delta.events) != len(n.Nodes) {
 		c.delta.events = make([][]fault.Event, len(n.Nodes))
 		c.delta.dirty = make([]bool, len(n.Nodes))
+		c.delta.rows = make([]tensor.Rows, len(n.Nodes))
+		for i := range c.delta.rows {
+			c.delta.rows[i] = make(tensor.Rows, in.Shape.N)
+		}
 	}
 	n.ForwardCtx(c, in, nil)
 	for i := range n.Nodes {
@@ -73,12 +81,14 @@ func (c *ExecContext) captureGolden(in *tensor.QTensor) {
 func (c *ExecContext) InvalidateGolden() { c.golden.in = nil }
 
 // ForwardDelta runs the network like ForwardCtx but recomputes only the
-// fault cone of the round: nodes carrying fault events plus everything
-// downstream of them. Clean nodes reuse the context's cached golden
-// activations, so a round with few (or no) events costs a small fraction of
-// a full pass while remaining bit-identical to ForwardCtx — the engines are
-// deterministic, so a node outside the cone can only ever produce its golden
-// output.
+// fault cone of the round, per (node, sample): a sample of a node is dirty
+// when one of the node's events falls in it or that sample of an input node
+// is still dirty, and each dirty node recomputes only its dirty samples.
+// Everything else reuses the context's cached golden activations, so a
+// round with few (or no) events costs a small fraction of a full pass while
+// remaining bit-identical to ForwardCtx — the engines are deterministic and
+// every op is independent across samples, so a slice outside the cone can
+// only ever hold its golden value.
 //
 // Contract: inj must inject exclusively through OpEvents (its Neuron method
 // must be a no-op) — neuron-level semantics corrupt activations behind the
@@ -98,17 +108,15 @@ func (n *Network) ForwardDelta(ctx *ExecContext, in *tensor.QTensor, inj Injecto
 	if ctx.golden.in != in {
 		ctx.captureGolden(in)
 	}
-	ctx.delta.recomputed = 0
+	ctx.delta.recomputed, ctx.delta.samples = 0, 0
 	if inj == nil {
 		return ctx.golden.acts[n.Output]
 	}
 
 	// Collect the round's events node by node, in node order — the same
 	// calls, against the same per-node streams, a full pass would make —
-	// and close the dirty set downstream while at it: a node is dirty iff
-	// it carries events or consumes a dirty node, and inputs always precede
-	// consumers in the topological node order.
-	events, dirty := ctx.delta.events, ctx.delta.dirty
+	// and seed each node's dirty samples with the samples its events fall in.
+	events, rows, dirty := ctx.delta.events, ctx.delta.rows, ctx.delta.dirty
 	any := false
 	for i := range n.Nodes {
 		var evs []fault.Event
@@ -116,40 +124,37 @@ func (n *Network) ForwardDelta(ctx *ExecContext, in *tensor.QTensor, inj Injecto
 			evs = inj.OpEvents(i, ctx.census[i])
 		}
 		events[i] = evs
-		d := len(evs) > 0
-		if !d {
-			for _, idx := range n.Nodes[i].Inputs {
-				if idx != InputNode && dirty[idx] {
-					d = true
-					break
-				}
-			}
+		if dirty[i] {
+			// Only a node left dirty by the previous round has a dirty sample.
+			clear(rows[i])
+			dirty[i] = false
 		}
-		dirty[i] = d
-		any = any || d
+		for _, ev := range evs {
+			rows[i][n.Nodes[i].Op.EventSample(ctx.inShapes[i], ev)] = true
+		}
+		any = any || len(evs) > 0
 	}
 	if !any {
 		return ctx.golden.acts[n.Output]
 	}
 
+	// Close the cone downstream, sample by sample: inputs always precede
+	// consumers in the topological node order, and an input's rows have
+	// already been thinned by re-convergence when a consumer reads them.
 	for i := range n.Nodes {
-		// Re-check the inputs: a node marked dirty in the closure may have
-		// re-converged ancestors (see below), turning it clean after all.
-		if dirty[i] && len(events[i]) == 0 {
-			d := false
-			for _, idx := range n.Nodes[i].Inputs {
-				if idx != InputNode && dirty[idx] {
-					d = true
-					break
+		nd := &n.Nodes[i]
+		r := rows[i]
+		for _, idx := range nd.Inputs {
+			if idx != InputNode && dirty[idx] {
+				for s, d := range rows[idx] {
+					r[s] = r[s] || d
 				}
 			}
-			dirty[i] = d
 		}
-		if !dirty[i] {
+		if !slices.Contains(r, true) {
 			ctx.acts[i] = ctx.golden.acts[i]
 			continue
 		}
-		nd := &n.Nodes[i]
 		ins := ctx.ins[i]
 		for j, idx := range nd.Inputs {
 			if idx == InputNode {
@@ -158,43 +163,55 @@ func (n *Network) ForwardDelta(ctx *ExecContext, in *tensor.QTensor, inj Injecto
 				ins[j] = ctx.acts[idx]
 			}
 		}
-		out := nd.Op.Forward(ctx.scratch[i], ins, events[i])
+		out := nd.Op.Forward(ctx.scratch[i], ins, events[i], r)
 		ctx.delta.recomputed++
-		// Re-convergence detection: faults are often masked within a layer
-		// or two (ReLU clamps negatives, maxpool discards non-maxima,
-		// saturating quantization rounds small perturbations away). When a
-		// recomputed activation equals its golden copy bit-for-bit, the
-		// node rejoins the clean region and its consumers can skip
-		// recomputation — the compare is a linear scan, negligible against
-		// any conv. Publishing the golden tensor (not the scratch output)
-		// keeps the invariant that clean consumers always read the plane.
-		if sameData(out, ctx.golden.acts[i]) {
-			dirty[i] = false
+		ctx.delta.samples += settle(out, ctx.golden.acts[i], r)
+		if dirty[i] = slices.Contains(r, true); dirty[i] {
+			ctx.acts[i] = out
+		} else {
+			// Every recomputed sample re-converged: publishing the golden
+			// tensor keeps the invariant that clean consumers read the plane.
 			ctx.acts[i] = ctx.golden.acts[i]
-			continue
 		}
-		ctx.acts[i] = out
 	}
 	return ctx.acts[n.Output]
 }
 
-// sameData reports whether two equal-geometry tensors hold identical values.
-func sameData(a, b *tensor.QTensor) bool {
-	if a.Shape != b.Shape || len(a.Data) != len(b.Data) {
-		return false
-	}
-	for i, v := range a.Data {
-		if v != b.Data[i] {
-			return false
+// settle completes an output that Forward computed only on the samples in
+// rows, against the golden activation g, and returns how many samples were
+// recomputed. Samples outside rows take their golden slice. A recomputed
+// sample that equals its golden slice bit for bit re-converged and leaves
+// rows: faults are often masked within a layer or two (ReLU clamps
+// negatives, maxpool discards non-maxima, saturating quantization rounds
+// small perturbations away), and the compare is a linear scan, negligible
+// against any conv. Every op's output is sample-major, so a sample is one
+// contiguous slice.
+func settle(out, g *tensor.QTensor, rows tensor.Rows) int {
+	per := out.Shape.SampleElems()
+	recomputed := 0
+	for s, d := range rows {
+		lo, hi := s*per, (s+1)*per
+		if !d {
+			copy(out.Data[lo:hi], g.Data[lo:hi])
+			continue
+		}
+		recomputed++
+		if slices.Equal(out.Data[lo:hi], g.Data[lo:hi]) {
+			rows[s] = false
 		}
 	}
-	return true
+	return recomputed
 }
 
 // RecomputeCount reports how many Op.Forward calls the last ForwardDelta
-// round made — the dirty closure before re-convergence thinning (diagnostics
-// and tests only).
+// round made: the nodes with at least one dirty sample once re-convergence
+// upstream has thinned the cone (diagnostics and tests only).
 func (c *ExecContext) RecomputeCount() int { return c.delta.recomputed }
+
+// RecomputedSamples reports how many (node, sample) slices the last
+// ForwardDelta round recomputed, summed over its RecomputeCount nodes
+// (diagnostics and tests only).
+func (c *ExecContext) RecomputedSamples() int { return c.delta.samples }
 
 // DirtyCount reports how many nodes remained dirty after the last
 // ForwardDelta round, i.e. the fault cone minus the nodes whose recomputed

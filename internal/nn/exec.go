@@ -41,15 +41,16 @@ type ExecContext struct {
 	net     *Network
 	inShape tensor.Shape // input shape the cached geometry was computed for
 
-	shapes  []tensor.Shape // per-node output shapes for inShape
-	census  []fault.Census // per-node op censuses for inShape
-	hasOps  []bool         // census[i].Total() > 0, hoisted out of the round loop
-	acts    []*tensor.QTensor
-	ins     [][]*tensor.QTensor // per-node resolved input views, refilled per pass
-	scratch []*Scratch          // per-node reusable buffer arenas (see scratch.go)
-	golden  goldenPlane         // cached golden activations (see delta.go)
-	delta   deltaState          // per-round delta-execution working set
-	backend kernel.Backend      // nil: the production kernel (kernel.Default)
+	shapes   []tensor.Shape   // per-node output shapes for inShape
+	inShapes [][]tensor.Shape // per-node input shapes for inShape
+	census   []fault.Census   // per-node op censuses for inShape
+	hasOps   []bool           // census[i].Total() > 0, hoisted out of the round loop
+	acts     []*tensor.QTensor
+	ins      [][]*tensor.QTensor // per-node resolved input views, refilled per pass
+	scratch  []*Scratch          // per-node reusable buffer arenas (see scratch.go)
+	golden   goldenPlane         // cached golden activations (see delta.go)
+	delta    deltaState          // per-round delta-execution working set
+	backend  kernel.Backend      // nil: the production kernel (kernel.Default)
 }
 
 // UseBackend selects the compute kernel for subsequent forward passes on
@@ -84,6 +85,7 @@ func (c *ExecContext) prepare(inShape tensor.Shape) {
 	c.golden = goldenPlane{} // node geometry changed: the plane is stale
 	c.delta = deltaState{}
 	c.shapes = make([]tensor.Shape, len(n.Nodes))
+	c.inShapes = make([][]tensor.Shape, len(n.Nodes))
 	c.census = make([]fault.Census, len(n.Nodes))
 	c.hasOps = make([]bool, len(n.Nodes))
 	c.acts = make([]*tensor.QTensor, len(n.Nodes))
@@ -91,6 +93,7 @@ func (c *ExecContext) prepare(inShape tensor.Shape) {
 	c.scratch = make([]*Scratch, len(n.Nodes))
 	for i := range n.Nodes {
 		ins := n.shapesOf(i, c.shapes, inShape)
+		c.inShapes[i] = ins
 		c.census[i] = n.Nodes[i].Op.Census(ins)
 		c.hasOps[i] = c.census[i].Total() > 0
 		c.shapes[i] = n.Nodes[i].Op.OutShape(ins)
@@ -122,7 +125,7 @@ func (n *Network) ForwardCtx(ctx *ExecContext, in *tensor.QTensor, inj Injector)
 		if inj != nil && ctx.hasOps[i] {
 			events = inj.OpEvents(i, ctx.census[i])
 		}
-		ctx.acts[i] = nd.Op.Forward(ctx.scratch[i], ins, events)
+		ctx.acts[i] = nd.Op.Forward(ctx.scratch[i], ins, events, nil)
 		if inj != nil {
 			inj.Neuron(i, ctx.acts[i])
 		}

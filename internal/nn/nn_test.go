@@ -18,7 +18,7 @@ func qIn(seed uint64, n, c, h, w int, f fixed.Format) *tensor.QTensor {
 func TestReLU(t *testing.T) {
 	in := tensor.NewQ(tensor.Shape{N: 1, C: 1, H: 1, W: 4}, fixed.Int16)
 	copy(in.Data, []int32{-5, 0, 3, -1})
-	out := ReLU{}.Forward(nil, []*tensor.QTensor{in}, nil)
+	out := ReLU{}.Forward(nil, []*tensor.QTensor{in}, nil, nil)
 	want := []int32{0, 0, 3, 0}
 	for i := range want {
 		if out.Data[i] != want[i] {
@@ -36,7 +36,7 @@ func TestMaxPool(t *testing.T) {
 		in.Data[i] = int32(i)
 	}
 	p := MaxPool{K: 2, Stride: 2}
-	out := p.Forward(nil, []*tensor.QTensor{in}, nil)
+	out := p.Forward(nil, []*tensor.QTensor{in}, nil, nil)
 	if out.Shape != (tensor.Shape{N: 1, C: 1, H: 2, W: 2}) {
 		t.Fatalf("shape %v", out.Shape)
 	}
@@ -52,7 +52,7 @@ func TestMaxPoolPaddingIgnoresOOB(t *testing.T) {
 	in := tensor.NewQ(tensor.Shape{N: 1, C: 1, H: 2, W: 2}, fixed.Int16)
 	copy(in.Data, []int32{-4, -3, -2, -1})
 	p := MaxPool{K: 3, Stride: 2, Pad: 1}
-	out := p.Forward(nil, []*tensor.QTensor{in}, nil)
+	out := p.Forward(nil, []*tensor.QTensor{in}, nil, nil)
 	// All windows see only negative values; max must be negative (OOB cells
 	// are not treated as zeros).
 	for i, v := range out.Data {
@@ -66,7 +66,7 @@ func TestAvgPool(t *testing.T) {
 	in := tensor.NewQ(tensor.Shape{N: 1, C: 1, H: 2, W: 2}, fixed.Int16)
 	copy(in.Data, []int32{1, 3, 5, 7})
 	p := AvgPool{K: 2, Stride: 2}
-	out := p.Forward(nil, []*tensor.QTensor{in}, nil)
+	out := p.Forward(nil, []*tensor.QTensor{in}, nil, nil)
 	if out.Data[0] != 4 {
 		t.Errorf("avg = %d, want 4", out.Data[0])
 	}
@@ -78,7 +78,7 @@ func TestAvgPool(t *testing.T) {
 func TestGlobalAvgPool(t *testing.T) {
 	in := tensor.NewQ(tensor.Shape{N: 1, C: 2, H: 2, W: 2}, fixed.Int16)
 	copy(in.Data, []int32{1, 2, 3, 4, 10, 20, 30, 40})
-	out := GlobalAvgPool{}.Forward(nil, []*tensor.QTensor{in}, nil)
+	out := GlobalAvgPool{}.Forward(nil, []*tensor.QTensor{in}, nil, nil)
 	if out.Shape != (tensor.Shape{N: 1, C: 2, H: 1, W: 1}) {
 		t.Fatalf("shape %v", out.Shape)
 	}
@@ -93,7 +93,7 @@ func TestAddSaturates(t *testing.T) {
 	b := tensor.NewQ(tensor.Shape{N: 1, C: 1, H: 1, W: 2}, f)
 	a.Data[0], b.Data[0] = f.Max(), f.Max()
 	a.Data[1], b.Data[1] = -100, 40
-	out := Add{}.Forward(nil, []*tensor.QTensor{a, b}, nil)
+	out := Add{}.Forward(nil, []*tensor.QTensor{a, b}, nil, nil)
 	if out.Data[0] != f.Max() {
 		t.Errorf("saturating add = %d, want %d", out.Data[0], f.Max())
 	}
@@ -105,7 +105,7 @@ func TestAddSaturates(t *testing.T) {
 func TestConcat(t *testing.T) {
 	a := qIn(1, 1, 2, 3, 3, fixed.Int16)
 	b := qIn(2, 1, 3, 3, 3, fixed.Int16)
-	out := Concat{}.Forward(nil, []*tensor.QTensor{a, b}, nil)
+	out := Concat{}.Forward(nil, []*tensor.QTensor{a, b}, nil, nil)
 	if out.Shape != (tensor.Shape{N: 1, C: 5, H: 3, W: 3}) {
 		t.Fatalf("concat shape %v", out.Shape)
 	}
@@ -116,7 +116,7 @@ func TestConcat(t *testing.T) {
 
 func TestFlatten(t *testing.T) {
 	in := qIn(3, 2, 3, 4, 4, fixed.Int16)
-	out := Flatten{}.Forward(nil, []*tensor.QTensor{in}, nil)
+	out := Flatten{}.Forward(nil, []*tensor.QTensor{in}, nil, nil)
 	if out.Shape != (tensor.Shape{N: 2, C: 48, H: 1, W: 1}) {
 		t.Fatalf("flatten shape %v", out.Shape)
 	}
@@ -331,9 +331,9 @@ func TestWinograd1x1FallsBackToDirect(t *testing.T) {
 func TestAddOpFaultReplay(t *testing.T) {
 	a := qIn(20, 1, 2, 4, 4, fixed.Int16)
 	b := qIn(21, 1, 2, 4, 4, fixed.Int16)
-	golden := Add{}.Forward(nil, []*tensor.QTensor{a, b}, nil)
+	golden := Add{}.Forward(nil, []*tensor.QTensor{a, b}, nil, nil)
 	ev := fault.Event{Class: fault.OpAdd, Op: 5, Bit: 10, Operand: 0}
-	out := Add{}.Forward(nil, []*tensor.QTensor{a, b}, []fault.Event{ev})
+	out := Add{}.Forward(nil, []*tensor.QTensor{a, b}, []fault.Event{ev}, nil)
 	diffs := 0
 	for i := range out.Data {
 		if out.Data[i] != golden.Data[i] {
@@ -347,7 +347,7 @@ func TestAddOpFaultReplay(t *testing.T) {
 		t.Errorf("expected exactly 1 changed element, got %d", diffs)
 	}
 	// Duplicate cancels.
-	out2 := Add{}.Forward(nil, []*tensor.QTensor{a, b}, []fault.Event{ev, ev})
+	out2 := Add{}.Forward(nil, []*tensor.QTensor{a, b}, []fault.Event{ev, ev}, nil)
 	if !equalQ(out2, golden) {
 		t.Error("duplicate add fault did not cancel")
 	}

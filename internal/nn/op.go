@@ -23,27 +23,41 @@ type Op interface {
 	// Census returns the op's primitive-operation counts (zero for ops with
 	// no multiply/add arithmetic, e.g. ReLU and max-pooling).
 	Census(ins []tensor.Shape) fault.Census
+	// EventSample maps one of the op's fault events to the batch sample
+	// whose output it corrupts. Every op is independent across samples and
+	// orders its census sample-major, so each event lands in exactly one.
+	EventSample(ins []tensor.Shape, ev fault.Event) int
 	// Forward computes the op with the given fault events applied, drawing
-	// reusable buffers from sc (nil means allocate fresh ones). The returned
-	// tensor may alias sc and stays valid until the next Forward call with
-	// the same scratch.
-	Forward(sc *Scratch, ins []*tensor.QTensor, events []fault.Event) *tensor.QTensor
+	// reusable buffers from sc (nil means allocate fresh ones). It computes
+	// only the batch samples in rows (nil: all of them): the other rows of
+	// the output are left unspecified and events of those samples are
+	// ignored. The returned tensor may alias sc and stays valid until the
+	// next Forward call with the same scratch.
+	Forward(sc *Scratch, ins []*tensor.QTensor, events []fault.Event, rows tensor.Rows) *tensor.QTensor
 }
 
 // ReLU is the rectified linear activation. It performs no counted arithmetic.
 type ReLU struct{}
 
-func (ReLU) Kind() string                             { return "relu" }
-func (ReLU) OutShape(ins []tensor.Shape) tensor.Shape { return ins[0] }
-func (ReLU) Census(ins []tensor.Shape) fault.Census   { return fault.Census{} }
-func (ReLU) Forward(sc *Scratch, ins []*tensor.QTensor, _ []fault.Event) *tensor.QTensor {
+func (ReLU) Kind() string                                { return "relu" }
+func (ReLU) OutShape(ins []tensor.Shape) tensor.Shape    { return ins[0] }
+func (ReLU) Census(ins []tensor.Shape) fault.Census      { return fault.Census{} }
+func (ReLU) EventSample([]tensor.Shape, fault.Event) int { return 0 }
+func (ReLU) Forward(sc *Scratch, ins []*tensor.QTensor, _ []fault.Event, rows tensor.Rows) *tensor.QTensor {
 	in := ins[0]
 	out := sc.Output(in.Shape, in.Fmt)
-	for i, v := range in.Data {
-		if v > 0 {
-			out.Data[i] = v
-		} else {
-			out.Data[i] = 0
+	per := in.Shape.SampleElems()
+	for n := 0; n < in.Shape.N; n++ {
+		if !rows.Has(n) {
+			continue
+		}
+		src, dst := in.Data[n*per:(n+1)*per], out.Data[n*per:(n+1)*per]
+		for i, v := range src {
+			if v > 0 {
+				dst[i] = v
+			} else {
+				dst[i] = 0
+			}
 		}
 	}
 	return out
@@ -66,13 +80,17 @@ func (p MaxPool) OutShape(ins []tensor.Shape) tensor.Shape {
 	}
 }
 
-func (MaxPool) Census(ins []tensor.Shape) fault.Census { return fault.Census{} }
+func (MaxPool) Census(ins []tensor.Shape) fault.Census      { return fault.Census{} }
+func (MaxPool) EventSample([]tensor.Shape, fault.Event) int { return 0 }
 
-func (p MaxPool) Forward(sc *Scratch, ins []*tensor.QTensor, _ []fault.Event) *tensor.QTensor {
+func (p MaxPool) Forward(sc *Scratch, ins []*tensor.QTensor, _ []fault.Event, rows tensor.Rows) *tensor.QTensor {
 	in := ins[0]
 	os := p.OutShape([]tensor.Shape{in.Shape})
 	out := sc.Output(os, in.Fmt)
 	for n := 0; n < os.N; n++ {
+		if !rows.Has(n) {
+			continue
+		}
 		for c := 0; c < os.C; c++ {
 			for oy := 0; oy < os.H; oy++ {
 				for ox := 0; ox < os.W; ox++ {
@@ -128,19 +146,26 @@ func (p AvgPool) Census(ins []tensor.Shape) fault.Census {
 	return fault.Census{Add: int64(os.Elems()) * int64(p.K*p.K-1)}
 }
 
-func (p AvgPool) Forward(sc *Scratch, ins []*tensor.QTensor, events []fault.Event) *tensor.QTensor {
+func (p AvgPool) EventSample(ins []tensor.Shape, ev fault.Event) int {
+	return int(ev.Op/int64(p.K*p.K-1)) / p.OutShape(ins).SampleElems()
+}
+
+func (p AvgPool) Forward(sc *Scratch, ins []*tensor.QTensor, events []fault.Event, rows tensor.Rows) *tensor.QTensor {
 	in := ins[0]
 	os := p.OutShape([]tensor.Shape{in.Shape})
 	out := sc.Output(os, in.Fmt)
 	perOut := int64(p.K*p.K - 1)
-	byOut := groupByOutput(events, perOut)
+	evs := sc.sortedEvents(events)
+	var at []fault.Event
 	div := int64(p.K * p.K)
 	for n := 0; n < os.N; n++ {
+		if !rows.Has(n) {
+			continue
+		}
 		for c := 0; c < os.C; c++ {
 			for oy := 0; oy < os.H; oy++ {
 				for ox := 0; ox < os.W; ox++ {
 					flat := os.Index(n, c, oy, ox)
-					evs := byOut[int64(flat)]
 					var acc int64
 					step := int64(flat) * perOut
 					first := true
@@ -157,7 +182,8 @@ func (p AvgPool) Forward(sc *Scratch, ins []*tensor.QTensor, events []fault.Even
 								first = false
 								continue
 							}
-							acc = applyAddEvents(acc, v, eventsAt(evs, step))
+							at, evs = fault.TakeOp(evs, step)
+							acc = applyAddEvents(acc, v, at)
 							step++
 						}
 					}
@@ -185,22 +211,31 @@ func (GlobalAvgPool) Census(ins []tensor.Shape) fault.Census {
 	return fault.Census{Add: int64(in.N) * int64(in.C) * int64(in.H*in.W-1)}
 }
 
-func (GlobalAvgPool) Forward(sc *Scratch, ins []*tensor.QTensor, events []fault.Event) *tensor.QTensor {
+func (GlobalAvgPool) EventSample(ins []tensor.Shape, ev fault.Event) int {
+	in := ins[0]
+	return int(ev.Op/int64(in.H*in.W-1)) / in.C
+}
+
+func (GlobalAvgPool) Forward(sc *Scratch, ins []*tensor.QTensor, events []fault.Event, rows tensor.Rows) *tensor.QTensor {
 	in := ins[0]
 	os := tensor.Shape{N: in.Shape.N, C: in.Shape.C, H: 1, W: 1}
 	out := sc.Output(os, in.Fmt)
 	hw := in.Shape.H * in.Shape.W
 	perOut := int64(hw - 1)
-	byOut := groupByOutput(events, perOut)
+	evs := sc.sortedEvents(events)
+	var at []fault.Event
 	for n := 0; n < os.N; n++ {
+		if !rows.Has(n) {
+			continue
+		}
 		for c := 0; c < os.C; c++ {
 			flat := os.Index(n, c, 0, 0)
-			evs := byOut[int64(flat)]
 			base := in.Shape.Index(n, c, 0, 0)
 			acc := int64(in.Data[base])
 			step := int64(flat) * perOut
 			for i := 1; i < hw; i++ {
-				acc = applyAddEvents(acc, int64(in.Data[base+i]), eventsAt(evs, step))
+				at, evs = fault.TakeOp(evs, step)
+				acc = applyAddEvents(acc, int64(in.Data[base+i]), at)
 				step++
 			}
 			out.Data[flat] = in.Fmt.Saturate(roundDiv(acc, int64(hw)))
@@ -226,16 +261,31 @@ func (Add) Census(ins []tensor.Shape) fault.Census {
 	return fault.Census{Add: int64(ins[0].Elems())}
 }
 
-func (Add) Forward(sc *Scratch, ins []*tensor.QTensor, events []fault.Event) *tensor.QTensor {
+func (Add) EventSample(ins []tensor.Shape, ev fault.Event) int {
+	return int(ev.Op) / ins[0].SampleElems()
+}
+
+func (Add) Forward(sc *Scratch, ins []*tensor.QTensor, events []fault.Event, rows tensor.Rows) *tensor.QTensor {
 	a, b := ins[0], ins[1]
 	if a.Shape != b.Shape {
 		panic("nn: residual add shape mismatch")
 	}
 	out := sc.Output(a.Shape, a.Fmt)
-	byOut := groupByOutput(events, 1)
-	for i := range a.Data {
-		s := applyAddEvents(int64(a.Data[i]), int64(b.Data[i]), byOut[int64(i)])
-		out.Data[i] = a.Fmt.Saturate(s)
+	evs := sc.sortedEvents(events)
+	var at []fault.Event
+	per := a.Shape.SampleElems()
+	for n := 0; n < a.Shape.N; n++ {
+		if !rows.Has(n) {
+			continue
+		}
+		for i := n * per; i < (n+1)*per; i++ {
+			s := int64(a.Data[i]) + int64(b.Data[i])
+			if len(evs) > 0 {
+				at, evs = fault.TakeOp(evs, int64(i))
+				s = applyAddEvents(int64(a.Data[i]), int64(b.Data[i]), at)
+			}
+			out.Data[i] = a.Fmt.Saturate(s)
+		}
 	}
 	return out
 }
@@ -258,12 +308,16 @@ func (Concat) OutShape(ins []tensor.Shape) tensor.Shape {
 	return s
 }
 
-func (Concat) Census(ins []tensor.Shape) fault.Census { return fault.Census{} }
+func (Concat) Census(ins []tensor.Shape) fault.Census      { return fault.Census{} }
+func (Concat) EventSample([]tensor.Shape, fault.Event) int { return 0 }
 
-func (Concat) Forward(sc *Scratch, ins []*tensor.QTensor, _ []fault.Event) *tensor.QTensor {
+func (Concat) Forward(sc *Scratch, ins []*tensor.QTensor, _ []fault.Event, rows tensor.Rows) *tensor.QTensor {
 	os := concatOutShape(ins)
 	out := sc.Output(os, ins[0].Fmt)
 	for n := 0; n < os.N; n++ {
+		if !rows.Has(n) {
+			continue
+		}
 		cOff := 0
 		for _, in := range ins {
 			for c := 0; c < in.Shape.C; c++ {
@@ -287,12 +341,18 @@ func (Flatten) OutShape(ins []tensor.Shape) tensor.Shape {
 	return tensor.Shape{N: in.N, C: in.C * in.H * in.W, H: 1, W: 1}
 }
 
-func (Flatten) Census(ins []tensor.Shape) fault.Census { return fault.Census{} }
+func (Flatten) Census(ins []tensor.Shape) fault.Census      { return fault.Census{} }
+func (Flatten) EventSample([]tensor.Shape, fault.Event) int { return 0 }
 
-func (Flatten) Forward(sc *Scratch, ins []*tensor.QTensor, _ []fault.Event) *tensor.QTensor {
+func (Flatten) Forward(sc *Scratch, ins []*tensor.QTensor, _ []fault.Event, rows tensor.Rows) *tensor.QTensor {
 	in := ins[0]
 	out := sc.Output(Flatten{}.OutShape([]tensor.Shape{in.Shape}), in.Fmt)
-	copy(out.Data, in.Data)
+	per := in.Shape.SampleElems()
+	for n := 0; n < in.Shape.N; n++ {
+		if rows.Has(n) {
+			copy(out.Data[n*per:(n+1)*per], in.Data[n*per:(n+1)*per])
+		}
+	}
 	return out
 }
 
@@ -317,32 +377,6 @@ func roundDiv(v, n int64) int64 {
 		return (v + n/2) / n
 	}
 	return -((-v + n/2) / n)
-}
-
-// groupByOutput buckets events by op-index/perOut (the output element).
-func groupByOutput(events []fault.Event, perOut int64) map[int64][]fault.Event {
-	if len(events) == 0 {
-		return nil
-	}
-	m := make(map[int64][]fault.Event)
-	for _, ev := range events {
-		m[ev.Op/perOut] = append(m[ev.Op/perOut], ev)
-	}
-	return m
-}
-
-// eventsAt filters events whose absolute op index equals step.
-func eventsAt(evs []fault.Event, step int64) []fault.Event {
-	if len(evs) == 0 {
-		return nil
-	}
-	var out []fault.Event
-	for _, ev := range evs {
-		if ev.Op == step {
-			out = append(out, ev)
-		}
-	}
-	return out
 }
 
 // applyAddEvents mirrors the engines' addition fault semantics: operand

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"repro/internal/conv"
+	"repro/internal/fault"
 	"repro/internal/fixed"
 	"repro/internal/kernel"
 	"repro/internal/tensor"
@@ -22,6 +23,7 @@ type Scratch struct {
 	conv *conv.Scratch     // direct-convolution arena
 	wg   *winograd.Scratch // winograd-layer arena
 	kb   kernel.Backend    // compute kernel stamped onto the engine arenas (nil: production)
+	evs  fault.Sorted      // event rounds of simple ops: events ordered by op
 }
 
 // Output returns a recycled output tensor of the given shape and format.
@@ -35,6 +37,24 @@ func (s *Scratch) Output(sh tensor.Shape, f fixed.Format) *tensor.QTensor {
 		s.out = tensor.NewQ(sh, f)
 	}
 	return s.out
+}
+
+// sortedEvents returns the events stably sorted by op index, for the simple
+// ops' census-ordered walks to consume with fault.TakeOp.
+func (s *Scratch) sortedEvents(events []fault.Event) []fault.Event {
+	if len(events) == 0 {
+		return nil
+	}
+	se := &fault.Sorted{}
+	if s != nil {
+		se = &s.evs
+	}
+	se.Reset(events)
+	for i, ev := range events {
+		se.Keys[i] = ev.Op
+	}
+	se.Sort()
+	return se.Evs
 }
 
 // convScratch returns the node's direct-convolution arena (nil passes

@@ -32,6 +32,18 @@ func (s Shape) Index(n, c, h, w int) int {
 	return ((n*s.C+c)*s.H+h)*s.W + w
 }
 
+// SampleElems returns the elements of one batch sample: NCHW is sample-major,
+// so sample n occupies the contiguous span [n·SampleElems, (n+1)·SampleElems).
+func (s Shape) SampleElems() int { return s.C * s.H * s.W }
+
+// Rows is a set of batch samples (rows of the N axis), indexed by sample.
+// The nil set means every sample: engines given Rows compute only the
+// samples in it and leave the other rows of their output unspecified.
+type Rows []bool
+
+// Has reports whether sample n is in the set.
+func (r Rows) Has(n int) bool { return r == nil || r[n] }
+
 // Tensor is a dense float64 NCHW tensor.
 type Tensor struct {
 	Shape Shape

@@ -2,7 +2,6 @@ package winograd
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/fault"
 	"repro/internal/fixed"
@@ -133,23 +132,43 @@ func (p *Params) segments() (itPer, caPer, otPer int64) {
 	return
 }
 
-// tileOfEvent maps an event to its global tile index nt.
-func (p *Params) tileOfEvent(ev fault.Event, ntTotal int64) int64 {
-	t2 := int64(p.Tile.MulsPerTileChannel())
+// Census segments of a tile, numbered in the order sortEvents keys them.
+const (
+	segIT  = iota // input transform adds
+	segMul        // Hadamard products (the mul class)
+	segCA         // channel accumulation adds
+	segOT         // output transform adds
+	numSegs
+)
+
+// eventSite maps an event to its global tile index nt, the tile segment it
+// falls in, and its index local to that (tile, segment).
+func (p *Params) eventSite(ev fault.Event, ntTotal int64) (nt int64, seg int, local int64) {
 	if ev.Class == fault.OpMul {
-		return ev.Op / (int64(p.OutC) * int64(p.InC) * t2)
+		per := int64(p.OutC) * int64(p.InC) * int64(p.Tile.MulsPerTileChannel())
+		return ev.Op / per, segMul, ev.Op % per
 	}
 	itPer, caPer, otPer := p.segments()
 	itTotal := ntTotal * itPer
 	caTotal := ntTotal * caPer
 	switch {
 	case ev.Op < itTotal:
-		return ev.Op / itPer
+		return ev.Op / itPer, segIT, ev.Op % itPer
 	case ev.Op < itTotal+caTotal:
-		return (ev.Op - itTotal) / caPer
+		op := ev.Op - itTotal
+		return op / caPer, segCA, op % caPer
 	default:
-		return (ev.Op - itTotal - caTotal) / otPer
+		op := ev.Op - itTotal - caTotal
+		return op / otPer, segOT, op % otPer
 	}
+}
+
+// segSpan bounds every segment's per-tile local index, so that
+// (nt·numSegs + seg)·segSpan + local orders events by tile, then segment,
+// then local index.
+func (p *Params) segSpan() int64 {
+	itPer, caPer, otPer := p.segments()
+	return max(int64(p.OutC)*int64(p.InC)*int64(p.Tile.MulsPerTileChannel()), itPer, caPer, otPer)
 }
 
 // coreScratch holds every buffer one Params forward pass needs. The zero
@@ -166,11 +185,7 @@ type coreScratch struct {
 	msum []int64         // Hadamard sums, [oc][T²]
 	y    []int64         // one MxM output tile
 	tmp  []int64         // matTransform intermediate
-
-	// Sorted-events cursor state (event rounds only).
-	evs    []fault.Event // events stably sorted by owning tile
-	evTile []int64       // owning tile of evs[i], same order
-	sorter tileSorter    // reusable sort.Stable adapter for large draws
+	evs  fault.Sorted    // event rounds: events in tile-walk order
 }
 
 // i64 returns a recycled []int64 of length n (contents unspecified).
@@ -181,41 +196,19 @@ func i64(buf *[]int64, n int) []int64 {
 	return (*buf)[:n]
 }
 
-// sortEventsByTile fills cs.evs/cs.evTile with the events stably sorted by
-// their owning tile, so the tile walk can consume them with a cursor instead
-// of a per-call map. Small event sets (the overwhelmingly common case) use a
-// stable insertion sort with zero allocation; large high-BER draws fall back
-// to sort.Stable to stay O(k·log²k).
-func (p *Params) sortEventsByTile(cs *coreScratch, events []fault.Event, ntTotal int64) {
-	cs.evs = append(cs.evs[:0], events...)
-	if cap(cs.evTile) < len(events) {
-		cs.evTile = make([]int64, len(events))
-	}
-	cs.evTile = cs.evTile[:len(events)]
+// sortEvents fills cs.evs with the events keyed by (tile, segment, local
+// index) and rebased to their local index, so the tile walk consumes them
+// front to back and replayTile walks each segment with a cursor.
+func (p *Params) sortEvents(cs *coreScratch, events []fault.Event, ntTotal int64) {
+	se := &cs.evs
+	se.Reset(events)
+	span := p.segSpan()
 	for i, ev := range events {
-		cs.evTile[i] = p.tileOfEvent(ev, ntTotal)
+		nt, seg, local := p.eventSite(ev, ntTotal)
+		se.Keys[i] = (nt*numSegs+int64(seg))*span + local
+		se.Evs[i].Op = local
 	}
-	if len(cs.evs) > 32 {
-		cs.sorter.cs = cs
-		sort.Stable(&cs.sorter)
-		return
-	}
-	for i := 1; i < len(cs.evs); i++ {
-		for j := i; j > 0 && cs.evTile[j-1] > cs.evTile[j]; j-- {
-			cs.evTile[j-1], cs.evTile[j] = cs.evTile[j], cs.evTile[j-1]
-			cs.evs[j-1], cs.evs[j] = cs.evs[j], cs.evs[j-1]
-		}
-	}
-}
-
-// tileSorter stably orders a coreScratch's event buffers by owning tile.
-type tileSorter struct{ cs *coreScratch }
-
-func (s *tileSorter) Len() int           { return len(s.cs.evs) }
-func (s *tileSorter) Less(i, j int) bool { return s.cs.evTile[i] < s.cs.evTile[j] }
-func (s *tileSorter) Swap(i, j int) {
-	s.cs.evTile[i], s.cs.evTile[j] = s.cs.evTile[j], s.cs.evTile[i]
-	s.cs.evs[i], s.cs.evs[j] = s.cs.evs[j], s.cs.evs[i]
+	se.Sort()
 }
 
 // ForwardAcc computes the layer into an accumulator-domain buffer indexed by
@@ -224,15 +217,17 @@ func (s *tileSorter) Swap(i, j int) {
 // paths reach the scratch-reusing forwardAcc through Layer.ForwardFaultyCtx,
 // whose winograd.Scratch owns the core scratch.
 func (p *Params) ForwardAcc(in *tensor.QTensor, events []fault.Event) ([]int64, tensor.Shape) {
-	return p.forwardAcc(&coreScratch{}, kernel.Default(), in, events)
+	return p.forwardAcc(&coreScratch{}, kernel.Default(), in, events, nil)
 }
 
-// forwardAcc is ForwardAcc against a caller-owned scratch and compute backend:
-// the returned slice aliases cs.acc and is valid until the next call with the
-// same scratch. Only the fault-free tile path goes through bk; tiles with
-// events replay on the reference census-ordered walk, so the backend can never
-// perturb fault semantics.
-func (p *Params) forwardAcc(cs *coreScratch, bk kernel.Backend, in *tensor.QTensor, events []fault.Event) ([]int64, tensor.Shape) {
+// forwardAcc is ForwardAcc against a caller-owned scratch and compute backend,
+// computing only the batch samples in rows (nil: all; the other rows of the
+// result are unspecified, and their events are ignored): the returned slice
+// aliases cs.acc and is valid until the next call with the same scratch.
+// Only the fault-free tile path goes through bk; tiles with events replay on
+// the reference census-ordered walk, so the backend can never perturb fault
+// semantics.
+func (p *Params) forwardAcc(cs *coreScratch, bk kernel.Backend, in *tensor.QTensor, events []fault.Event, rows tensor.Rows) ([]int64, tensor.Shape) {
 	if in.Shape.C != p.InC {
 		panic(fmt.Sprintf("winograd: input channels %d != %d", in.Shape.C, p.InC))
 	}
@@ -257,6 +252,9 @@ func (p *Params) forwardAcc(cs *coreScratch, bk kernel.Backend, in *tensor.QTens
 		}
 		ext = cs.ext
 		for n := 0; n < in.Shape.N; n++ {
+			if !rows.Has(n) {
+				continue
+			}
 			for c := 0; c < in.Shape.C; c++ {
 				for y := 0; y < in.Shape.H; y++ {
 					src := in.Shape.Index(n, c, y, 0)
@@ -270,13 +268,13 @@ func (p *Params) forwardAcc(cs *coreScratch, bk kernel.Backend, in *tensor.QTens
 	// Route events to tiles with a sorted cursor: the tile walk below visits
 	// nt in strictly increasing order, so a stably tile-sorted event slice is
 	// consumed front to back and the fault-free common case pays nothing.
-	// The truncation matters: a recycled scratch still holds the previous
-	// event round's sorted events, which must not leak into this pass.
+	// The reset matters: a recycled scratch still holds the previous event
+	// round's sorted events, which must not leak into this pass.
 	evCursor := 0
-	cs.evs, cs.evTile = cs.evs[:0], cs.evTile[:0]
-	if len(events) > 0 {
-		p.sortEventsByTile(cs, events, ntTotal)
-	}
+	p.sortEvents(cs, events, ntTotal)
+	tileSpan := numSegs * p.segSpan()
+	evKeys := cs.evs.Keys
+	tilesPerSample := int64(tilesY) * int64(tilesX)
 
 	t2 := T * T
 	acc := i64(&cs.acc, outShape.Elems())
@@ -295,6 +293,13 @@ func (p *Params) forwardAcc(cs *coreScratch, bk kernel.Backend, in *tensor.QTens
 	kt, fast := t.kernelTile()
 
 	for n := 0; n < in.Shape.N; n++ {
+		if !rows.Has(n) {
+			// Pass over the skipped sample's events.
+			for evCursor < len(evKeys) && evKeys[evCursor]/tileSpan < int64(n+1)*tilesPerSample {
+				evCursor++
+			}
+			continue
+		}
 		extBatch := n * inC * extChan
 		outBatch := n * outC * outChan
 		for ty := 0; ty < tilesY; ty++ {
@@ -305,12 +310,12 @@ func (p *Params) forwardAcc(cs *coreScratch, bk kernel.Backend, in *tensor.QTens
 			}
 			for tx := 0; tx < tilesX; tx++ {
 				nt := (int64(n)*int64(tilesY)+int64(ty))*int64(tilesX) + int64(tx)
-				if evCursor < len(cs.evTile) && cs.evTile[evCursor] == nt {
+				if evCursor < len(evKeys) && evKeys[evCursor]/tileSpan == nt {
 					run := evCursor
-					for run < len(cs.evTile) && cs.evTile[run] == nt {
+					for run < len(evKeys) && evKeys[run]/tileSpan == nt {
 						run++
 					}
-					p.replayTile(ext, acc, outShape, n, ty, tx, nt, ntTotal, cs.evs[evCursor:run])
+					p.replayTile(cs, ext, acc, outShape, n, ty, tx, evKeys[evCursor:run], cs.evs.Evs[evCursor:run])
 					evCursor = run
 					continue
 				}

@@ -209,17 +209,20 @@ type Scratch struct {
 	biasOK  bool              // bias cache valid
 	out     *tensor.QTensor   // recycled requantized output
 	unitEvs [][]fault.Event   // per-unit routed events (event rounds only)
-	spans   [2][]int64        // per-unit census spans by op class
+	sumEvs  fault.Sorted      // summation-segment events by op (event rounds only)
 }
 
 // gather materializes the unit's input view into g: subsample by stride at
 // residue (ry,rx), shift by (sy,sx) sub-grid pixels, with virtual zero
-// padding. The set of written positions depends on geometry alone, so a
-// recycled g whose skipped positions are still zero from allocation stays
-// correct across passes.
-func (l *Layer) gather(in *tensor.QTensor, u unit, uin tensor.Shape, g *tensor.QTensor) *tensor.QTensor {
+// padding, for the samples in rows. The set of written positions depends on
+// geometry alone, so a recycled g whose skipped positions are still zero
+// from allocation stays correct across passes.
+func (l *Layer) gather(in *tensor.QTensor, u unit, uin tensor.Shape, g *tensor.QTensor, rows tensor.Rows) *tensor.QTensor {
 	inH, inW := in.Shape.H, in.Shape.W
 	for n := 0; n < uin.N; n++ {
+		if !rows.Has(n) {
+			continue
+		}
 		for c := 0; c < uin.C; c++ {
 			inChan := (n*uin.C + c) * inH * inW
 			for i := 0; i < uin.H; i++ {
@@ -266,7 +269,7 @@ func (l *Layer) Forward(in *tensor.QTensor) *tensor.QTensor {
 // allocating fresh buffers. Hot paths use ForwardFaultyCtx with a reusable
 // Scratch.
 func (l *Layer) ForwardFaulty(in *tensor.QTensor, events []fault.Event) *tensor.QTensor {
-	return l.ForwardFaultyCtx(&Scratch{}, in, events)
+	return l.ForwardFaultyCtx(&Scratch{}, in, events, nil)
 }
 
 // accumBias returns the bias vector scaled to the accumulator domain,
@@ -297,10 +300,43 @@ func (l *Layer) accumBias(sc *Scratch, inFmt fixed.Format) []int64 {
 	return sc.bias
 }
 
+// locate maps a layer event to the DWM unit it belongs to, with its op index
+// rebased to that unit's own indexing, or to unit -1 with its index in the
+// summation segment. Every unit convolves the same gathered geometry, so
+// they share one census uc and the unit spans are uniform.
+func (l *Layer) locate(uc fault.Census, ev fault.Event) (int, int64) {
+	span := uc.Class(ev.Class)
+	if u := ev.Op / span; u < int64(len(l.units)) {
+		return int(u), ev.Op % span
+	}
+	if ev.Class != fault.OpAdd {
+		panic(fmt.Sprintf("winograd: mul event index %d beyond census", ev.Op))
+	}
+	return -1, ev.Op - int64(len(l.units))*span
+}
+
+// EventSample maps a fault event to the batch sample whose output it
+// corrupts, for an input of shape in: through the owning unit's tile, or the
+// summation segment's output element.
+func (l *Layer) EventSample(in tensor.Shape, ev fault.Event) int {
+	uin := l.unitInShape(in)
+	out := l.OutShape(in)
+	u, op := l.locate(l.units[0].p.Census(uin), ev)
+	if u < 0 {
+		return int(op/l.sumAddsPerOut()) / out.SampleElems()
+	}
+	p := l.units[u].p
+	tilesY, tilesX := p.tileGrid(out)
+	ev.Op = op
+	nt, _, _ := p.eventSite(ev, int64(in.N)*int64(tilesY)*int64(tilesX))
+	return int(nt / (int64(tilesY) * int64(tilesX)))
+}
+
 // routeEvents splits the layer's events into per-unit slices (rebased to the
-// unit's own op indexing) and the summation-segment map. The per-unit slices
-// recycle sc.unitEvs; the map is allocated only on event rounds.
-func (l *Layer) routeEvents(sc *Scratch, uin tensor.Shape, events []fault.Event) ([][]fault.Event, map[int64][]fault.Event) {
+// unit's own op indexing) and the summation-segment events (rebased to the
+// segment, stably sorted by op). Both recycle sc's buffers.
+func (l *Layer) routeEvents(sc *Scratch, uin tensor.Shape, events []fault.Event) ([][]fault.Event, []fault.Event) {
+	sc.sumEvs.Reset(nil)
 	if len(events) == 0 {
 		return nil, nil
 	}
@@ -310,48 +346,48 @@ func (l *Layer) routeEvents(sc *Scratch, uin tensor.Shape, events []fault.Event)
 	for i := range sc.unitEvs {
 		sc.unitEvs[i] = sc.unitEvs[i][:0]
 	}
-	mulSpans := i64(&sc.spans[0], len(l.units))
-	addSpans := i64(&sc.spans[1], len(l.units))
-	for i, u := range l.units {
-		c := u.p.Census(uin)
-		mulSpans[i] = c.Mul
-		addSpans[i] = c.Add
-	}
-	sumEvents := map[int64][]fault.Event{}
+	uc := l.units[0].p.Census(uin)
 	for _, ev := range events {
-		spans := addSpans
-		if ev.Class == fault.OpMul {
-			spans = mulSpans
+		u, op := l.locate(uc, ev)
+		ev.Op = op
+		if u >= 0 {
+			sc.unitEvs[u] = append(sc.unitEvs[u], ev)
+			continue
 		}
-		op := ev.Op
-		routed := false
-		for i, span := range spans {
-			if op < span {
-				rebased := ev
-				rebased.Op = op
-				sc.unitEvs[i] = append(sc.unitEvs[i], rebased)
-				routed = true
-				break
-			}
-			op -= span
-		}
-		if !routed {
-			if ev.Class != fault.OpAdd {
-				panic(fmt.Sprintf("winograd: mul event index %d beyond census", ev.Op))
-			}
-			rebased := ev
-			rebased.Op = op
-			sumEvents[op/l.sumAddsPerOut()] = append(sumEvents[op/l.sumAddsPerOut()], rebased)
-		}
+		sc.sumEvs.Evs = append(sc.sumEvs.Evs, ev)
+		sc.sumEvs.Keys = append(sc.sumEvs.Keys, op)
 	}
-	return sc.unitEvs, sumEvents
+	sc.sumEvs.Sort()
+	return sc.unitEvs, sc.sumEvs.Evs
+}
+
+// applySumEvents re-does, with its faults applied, every summation-segment
+// add at step whose output element lies in rows: the plain add loop has
+// already produced acc[i] = partial + term(i), so the partial is recovered
+// exactly as acc[i] - term(i) in the wrapping int64 ring and the add is
+// replayed on it. evs are the segment's events, ordered by op.
+func applySumEvents(acc []int64, evs []fault.Event, perOut, step int64, perSample int, rows tensor.Rows, term func(i int) int64) {
+	for lo := 0; lo < len(evs); {
+		op := evs[lo].Op
+		hi := lo + 1
+		for hi < len(evs) && evs[hi].Op == op {
+			hi++
+		}
+		if i := int(op / perOut); op%perOut == step && rows.Has(i/perSample) {
+			t := term(i)
+			acc[i] = applyAdd(acc[i]-t, t, evs[lo:hi])
+		}
+		lo = hi
+	}
 }
 
 // ForwardFaultyCtx computes the layer with fault events applied bit-exactly,
-// drawing every buffer from sc. Results are bit-identical to ForwardFaulty;
-// the returned tensor aliases sc and is valid until the next call with the
-// same scratch.
-func (l *Layer) ForwardFaultyCtx(sc *Scratch, in *tensor.QTensor, events []fault.Event) *tensor.QTensor {
+// drawing every buffer from sc and computing only the batch samples in rows
+// (nil: all of them; the other rows of the output are unspecified, and
+// events of those samples are ignored). Results are bit-identical to
+// ForwardFaulty on the computed rows; the returned tensor aliases sc and is
+// valid until the next call with the same scratch.
+func (l *Layer) ForwardFaultyCtx(sc *Scratch, in *tensor.QTensor, events []fault.Event, rows tensor.Rows) *tensor.QTensor {
 	if sc == nil {
 		sc = &Scratch{}
 	}
@@ -367,10 +403,11 @@ func (l *Layer) ForwardFaultyCtx(sc *Scratch, in *tensor.QTensor, events []fault
 
 	unitEvents, sumEvents := l.routeEvents(sc, uin, events)
 
-	// Run units and sum in the accumulator domain.
+	// Run units and sum in the accumulator domain, sample by sample.
 	acc := i64(&sc.acc, outShape.Elems())
 	shift := in.Fmt.Frac + l.WFrac + l.Tile.FracExtra - l.OutFmt.Frac
 	perOut := l.sumAddsPerOut()
+	per := outShape.SampleElems()
 	if len(sc.gather) != len(l.units) {
 		sc.gather = make([]*tensor.QTensor, len(l.units))
 	}
@@ -379,51 +416,50 @@ func (l *Layer) ForwardFaultyCtx(sc *Scratch, in *tensor.QTensor, events []fault
 		if sc.gather[ui] == nil || sc.gather[ui].Shape != uin || sc.gather[ui].Fmt != in.Fmt {
 			sc.gather[ui] = tensor.NewQ(uin, in.Fmt)
 		}
-		g := l.gather(in, u, uin, sc.gather[ui])
+		g := l.gather(in, u, uin, sc.gather[ui], rows)
 		var uevs []fault.Event
 		if unitEvents != nil {
 			uevs = unitEvents[ui]
 		}
-		ua, us := u.p.forwardAcc(&sc.core, bk, g, uevs)
+		ua, us := u.p.forwardAcc(&sc.core, bk, g, uevs, rows)
 		if us != outShape {
 			panic(fmt.Sprintf("winograd: unit output %v != layer output %v", us, outShape))
 		}
-		if ui == 0 {
-			copy(acc, ua)
-			continue
-		}
-		if sumEvents == nil {
-			for i, a := range ua {
-				acc[i] += a
+		for n := 0; n < outShape.N; n++ {
+			if !rows.Has(n) {
+				continue
 			}
-			continue
+			lo, hi := n*per, (n+1)*per
+			if ui == 0 {
+				copy(acc[lo:hi], ua[lo:hi])
+				continue
+			}
+			a, b := acc[lo:hi], ua[lo:hi]
+			for i := range a {
+				a[i] += b[i]
+			}
 		}
-		step := int64(ui - 1)
-		for i := range acc {
-			evs := sumEvents[int64(i)]
-			acc[i] = applyAdd(acc[i], ua[i], filterStep(evs, int64(i)*perOut+step))
+		if ui > 0 && len(sumEvents) > 0 {
+			applySumEvents(acc, sumEvents, perOut, int64(ui-1), per, rows, func(i int) int64 { return ua[i] })
 		}
 	}
 	if bias := l.accumBias(sc, in.Fmt); bias != nil {
 		outs := outShape.H * outShape.W
-		if sumEvents == nil {
-			i := 0
-			for n := 0; n < outShape.N; n++ {
-				for oc := 0; oc < outShape.C; oc++ {
-					b := bias[oc]
-					for e := 0; e < outs; e++ {
-						acc[i] += b
-						i++
-					}
+		for n := 0; n < outShape.N; n++ {
+			if !rows.Has(n) {
+				continue
+			}
+			i := n * per
+			for oc := 0; oc < outShape.C; oc++ {
+				b := bias[oc]
+				for e := 0; e < outs; e++ {
+					acc[i] += b
+					i++
 				}
 			}
-		} else {
-			step := int64(len(l.units) - 1)
-			for i := range acc {
-				oc := (i / outs) % outShape.C
-				evs := sumEvents[int64(i)]
-				acc[i] = applyAdd(acc[i], bias[oc], filterStep(evs, int64(i)*perOut+step))
-			}
+		}
+		if len(sumEvents) > 0 {
+			applySumEvents(acc, sumEvents, perOut, int64(len(l.units)-1), per, rows, func(i int) int64 { return bias[(i/outs)%outShape.C] })
 		}
 	}
 
@@ -431,21 +467,12 @@ func (l *Layer) ForwardFaultyCtx(sc *Scratch, in *tensor.QTensor, events []fault
 		sc.out = tensor.NewQ(outShape, l.OutFmt)
 	}
 	out := sc.out
-	for i, a := range acc {
-		out.Data[i] = l.OutFmt.RequantizeShift(a, shift)
-	}
-	return out
-}
-
-// filterStep selects the events whose absolute summation index equals step.
-func filterStep(evs []fault.Event, step int64) []fault.Event {
-	if len(evs) == 0 {
-		return nil
-	}
-	var out []fault.Event
-	for _, ev := range evs {
-		if ev.Op == step {
-			out = append(out, ev)
+	for n := 0; n < outShape.N; n++ {
+		if !rows.Has(n) {
+			continue
+		}
+		for i := n * per; i < (n+1)*per; i++ {
+			out.Data[i] = l.OutFmt.RequantizeShift(acc[i], shift)
 		}
 	}
 	return out

@@ -37,10 +37,11 @@ func applyAdd(acc, term int64, evs []fault.Event) int64 {
 }
 
 // matTransformReplay is the scalar twin of matTransform that walks the adds
-// in census order, consuming steps from evs (keyed by absolute add index).
-// step is the absolute index of the next add; the final value is returned.
-func matTransformReplay(mat [][]int64, rows, t int, in, out []int64, evs map[int64][]fault.Event, step int64) int64 {
-	scratch := make([]int64, rows*t)
+// in census order. step is the local index of the next add; evs holds the
+// events from step on, ascending by local index, and the events left after
+// the last add are returned. scratch holds the rows x t intermediate.
+func matTransformReplay(mat [][]int64, rows, t int, in, out, scratch []int64, evs []fault.Event, step int64) []fault.Event {
+	var at []fault.Event
 	for r := 0; r < rows; r++ {
 		row := mat[r]
 		for col := 0; col < t; col++ {
@@ -57,7 +58,8 @@ func matTransformReplay(mat [][]int64, rows, t int, in, out []int64, evs map[int
 					first = false
 					continue
 				}
-				acc = applyAdd(acc, term, evs[step])
+				at, evs = fault.TakeOp(evs, step)
+				acc = applyAdd(acc, term, at)
 				step++
 			}
 			scratch[r*t+col] = acc
@@ -79,51 +81,43 @@ func matTransformReplay(mat [][]int64, rows, t int, in, out []int64, evs map[int
 					first = false
 					continue
 				}
-				acc = applyAdd(acc, term, evs[step])
+				at, evs = fault.TakeOp(evs, step)
+				acc = applyAdd(acc, term, at)
 				step++
 			}
 			out[r*rows+c2] = acc
 		}
 	}
-	return step
+	return evs
 }
 
 // replayTile recomputes one tile in census op order with its fault events
-// applied, writing accumulator-domain outputs.
-func (p *Params) replayTile(ext *tensor.QTensor, acc []int64, outShape tensor.Shape, n, ty, tx int, nt, ntTotal int64, evs []fault.Event) {
+// applied, writing accumulator-domain outputs. evs are the tile's events in
+// sortEvents order (keys alongside): grouped by segment, each group ascending
+// by local index, so every stage of the walk consumes its own group with a
+// cursor. It works in the fast path's tile buffers, which every tile
+// rewrites before reading.
+func (p *Params) replayTile(cs *coreScratch, ext *tensor.QTensor, acc []int64, outShape tensor.Shape, n, ty, tx int, keys []int64, evs []fault.Event) {
 	t, m, T := p.Tile, p.Tile.M, p.Tile.T()
 	t2 := T * T
-	itPer, caPer, otPer := p.segments()
-	itTotal := ntTotal * itPer
-	caTotal := ntTotal * caPer
-	mulPerTile := int64(p.OutC) * int64(p.InC) * int64(t2)
-
-	// Partition events into per-segment maps keyed by tile-local index.
-	mulEvs := map[int64][]fault.Event{}
-	itEvs := map[int64][]fault.Event{}
-	caEvs := map[int64][]fault.Event{}
-	otEvs := map[int64][]fault.Event{}
-	for _, ev := range evs {
-		if ev.Class == fault.OpMul {
-			mulEvs[ev.Op-nt*mulPerTile] = append(mulEvs[ev.Op-nt*mulPerTile], ev)
-			continue
+	span := p.segSpan()
+	var seg [numSegs][]fault.Event
+	for lo := 0; lo < len(evs); {
+		s := keys[lo] / span % numSegs
+		hi := lo + 1
+		for hi < len(evs) && keys[hi]/span%numSegs == s {
+			hi++
 		}
-		switch {
-		case ev.Op < itTotal:
-			local := ev.Op - nt*itPer
-			itEvs[local] = append(itEvs[local], ev)
-		case ev.Op < itTotal+caTotal:
-			local := ev.Op - itTotal - nt*caPer
-			caEvs[local] = append(caEvs[local], ev)
-		default:
-			local := ev.Op - itTotal - caTotal - nt*otPer
-			otEvs[local] = append(otEvs[local], ev)
-		}
+		seg[s] = evs[lo:hi]
+		lo = hi
 	}
+	itEvs, mulEvs, caEvs, otEvs := seg[segIT], seg[segMul], seg[segCA], seg[segOT]
 
-	// Input transform with IT faults, channel-major census order.
-	d := make([]int64, t2)
-	v := make([]int64, p.InC*t2)
+	// Input transform with IT faults, channel-major census order. A stage
+	// with no events left in its index range runs the plain loops instead:
+	// the same int64 sums, so the same bits.
+	d, v, tmp := cs.d[:t2], cs.v[:p.InC*t2], cs.tmp[:t2]
+	itAdds := int64(t.InputAdds())
 	for c := 0; c < p.InC; c++ {
 		for i := 0; i < T; i++ {
 			base := ext.Shape.Index(n, c, ty*m+i, tx*m)
@@ -131,25 +125,50 @@ func (p *Params) replayTile(ext *tensor.QTensor, acc []int64, outShape tensor.Sh
 				d[i*T+j] = int64(ext.Data[base+j])
 			}
 		}
-		matTransformReplay(t.BT, T, T, d, v[c*t2:(c+1)*t2], itEvs, int64(c)*int64(t.InputAdds()))
+		if eventsBefore(itEvs, int64(c+1)*itAdds) {
+			itEvs = matTransformReplay(t.BT, T, T, d, v[c*t2:(c+1)*t2], tmp, itEvs, int64(c)*itAdds)
+		} else {
+			matTransform(t.BT, T, T, d, v[c*t2:(c+1)*t2], tmp)
+		}
 	}
 
-	msum := make([]int64, t2)
-	y := make([]int64, m*m)
+	msum, y := cs.msum[:t2], cs.y[:m*m]
+	otAdds := int64(t.OutputAdds())
+	var at []fault.Event
 	for o := 0; o < p.OutC; o++ {
 		uBase := o * p.InC * t2
 		mulBase := int64(o) * int64(p.InC) * int64(t2)
 		caBase := int64(o) * int64(p.InC-1) * int64(t2)
-		for i := 0; i < t2; i++ {
-			msum[i] = p.hadamard(uBase, 0, i, t2, v, mulEvs[mulBase+int64(i)])
-		}
-		for c := 1; c < p.InC; c++ {
+		if eventsBefore(mulEvs, mulBase+int64(p.InC*t2)) || eventsBefore(caEvs, caBase+int64((p.InC-1)*t2)) {
 			for i := 0; i < t2; i++ {
-				prod := p.hadamard(uBase, c, i, t2, v, mulEvs[mulBase+int64(c*t2+i)])
-				msum[i] = applyAdd(msum[i], prod, caEvs[caBase+int64((c-1)*t2+i)])
+				at, mulEvs = fault.TakeOp(mulEvs, mulBase+int64(i))
+				msum[i] = p.hadamard(uBase, 0, i, t2, v, at)
+			}
+			for c := 1; c < p.InC; c++ {
+				for i := 0; i < t2; i++ {
+					at, mulEvs = fault.TakeOp(mulEvs, mulBase+int64(c*t2+i))
+					prod := p.hadamard(uBase, c, i, t2, v, at)
+					at, caEvs = fault.TakeOp(caEvs, caBase+int64((c-1)*t2+i))
+					msum[i] = applyAdd(msum[i], prod, at)
+				}
+			}
+		} else {
+			u := p.U[uBase : uBase+p.InC*t2]
+			for i := 0; i < t2; i++ {
+				msum[i] = v[i] * int64(u[i])
+			}
+			for c := 1; c < p.InC; c++ {
+				vc, uc := v[c*t2:(c+1)*t2], u[c*t2:(c+1)*t2]
+				for i := range msum {
+					msum[i] += vc[i] * int64(uc[i])
+				}
 			}
 		}
-		matTransformReplay(t.AT, m, T, msum, y, otEvs, int64(o)*int64(t.OutputAdds()))
+		if eventsBefore(otEvs, int64(o+1)*otAdds) {
+			otEvs = matTransformReplay(t.AT, m, T, msum, y, tmp, otEvs, int64(o)*otAdds)
+		} else {
+			matTransform(t.AT, m, T, msum, y, tmp)
+		}
 		for i := 0; i < m; i++ {
 			oy := ty*m + i
 			if oy >= outShape.H {
@@ -166,6 +185,9 @@ func (p *Params) replayTile(ext *tensor.QTensor, acc []int64, outShape tensor.Sh
 		}
 	}
 }
+
+// eventsBefore reports whether evs, ordered by Op, holds an event before end.
+func eventsBefore(evs []fault.Event, end int64) bool { return len(evs) > 0 && evs[0].Op < end }
 
 // hadamard computes one transform-domain product U[oc,c,pos] * V[c,pos] with
 // any fault events applied: operand 0 is the transformed activation, operand

@@ -308,3 +308,56 @@ func ExampleLayer_Units() {
 	fmt.Println(l.Units())
 	// Output: 9
 }
+
+// TestSegmentEventsReachTheirTile: a high-bit result flip in any of the four
+// census segments of the winograd core (input transform, Hadamard product,
+// channel accumulation, output transform) changes the accumulator, and only
+// inside the output block of the tile eventSite assigns it to. An engine
+// that skipped a segment's events, or replayed them into the wrong tile or
+// sample, fails here; duplicate-cancel tests cannot see either.
+func TestSegmentEventsReachTheirTile(t *testing.T) {
+	r := rng.New(9)
+	w := tensor.New(tensor.Shape{N: 4, C: 3, H: 3, W: 3}).Random(r, 0.4)
+	p := NewParams(w, F2, fixed.Int16)
+	in := tensor.Quantize(tensor.New(tensor.Shape{N: 2, C: 3, H: 10, W: 10}).Random(r, 1), fixed.Int16)
+	golden, outShape := p.ForwardAcc(in, nil)
+	golden = append([]int64(nil), golden...)
+	tilesY, tilesX := p.tileGrid(outShape)
+	ntTotal := int64(in.Shape.N) * int64(tilesY) * int64(tilesX)
+	census := p.Census(in.Shape)
+	itPer, caPer, otPer := p.segments()
+	segs := []struct {
+		name   string
+		class  fault.OpClass
+		lo, hi int64
+	}{
+		{"IT", fault.OpAdd, 0, ntTotal * itPer},
+		{"mul", fault.OpMul, 0, census.Mul},
+		{"CA", fault.OpAdd, ntTotal * itPer, ntTotal * (itPer + caPer)},
+		{"OT", fault.OpAdd, ntTotal * (itPer + caPer), ntTotal * (itPer + caPer + otPer)},
+	}
+	for _, sg := range segs {
+		for trial := 0; trial < 60; trial++ {
+			ev := []fault.Event{{Class: sg.class, Op: sg.lo + r.Int63n(sg.hi-sg.lo), Bit: 24}}
+			conv.MarkResultFlip(ev)
+			nt, _, _ := p.eventSite(ev[0], ntTotal)
+			n := int(nt) / (tilesY * tilesX)
+			ty, tx := int(nt)%(tilesY*tilesX)/tilesX, int(nt)%tilesX
+			acc, _ := p.ForwardAcc(in, ev)
+			diffs := 0
+			for i, v := range acc {
+				if v == golden[i] {
+					continue
+				}
+				diffs++
+				ox, oy := i%outShape.W, i/outShape.W%outShape.H
+				if i/outShape.SampleElems() != n || oy/F2.M != ty || ox/F2.M != tx {
+					t.Fatalf("%s event %+v (tile %d) changed element %d outside its tile", sg.name, ev[0], nt, i)
+				}
+			}
+			if diffs == 0 {
+				t.Fatalf("%s event %+v left the accumulator unchanged", sg.name, ev[0])
+			}
+		}
+	}
+}
